@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
 from .game import GameInstance, Profile, WeightedGround, induced_weights
-from .rank import RankFunction, enumerate_base, member_polytope
+from .rank import RankFunction, enumerate_base, tight_sets
 
 __all__ = [
     "SwapStep",
@@ -57,18 +57,16 @@ def _require_coverage(f: RankFunction, w: WeightedGround, demand: int) -> None:
 def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int, int]]:
     """Chain elements whose addition keeps every subset capacity satisfied.
 
-    Candidates are the next free position of each chain; each is tested by
-    full subset enumeration.
+    Candidates are the next free position of each chain. One
+    :func:`~polynash.rank.tight_sets` pass decides them all: the position
+    above r is feasible iff r lies outside every tight set. A count vector
+    already outside the polytope has no feasible addition.
     """
     counts = tuple(int(v) for v in counts)
-    out = []
-    for r in range(f.m):
-        if counts[r] >= f.singleton(r):
-            continue
-        candidate = counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
-        if member_polytope(f, candidate):
-            out.append((r, counts[r] + 1))
-    return out
+    tight = tight_sets(f, counts)
+    if not tight.feasible:
+        return []
+    return [(r, c + 1) for r, c in enumerate(counts) if tight.can_add(r)]
 
 
 def _extend_once(
@@ -132,13 +130,19 @@ def local_improvement(
 ) -> SwapStep | None:
     """Best single exchange that lowers the weight, or None when counts is optimal.
 
-    None is reliable: an ideal that is not minimum-weight at its size always
-    admits an improving exchange. Among improving exchanges the one with the
-    largest saving wins; ties go to the lowest removal resource index, then
-    the lowest addition resource index. Feasibility of each exchange is
-    checked by full subset enumeration.
+    ``counts`` must lie inside the polytope of f; a vector outside it raises
+    ContractError. For such a vector None is reliable: an ideal that is not
+    minimum-weight at its size always admits an improving exchange. Among
+    improving exchanges the one with the largest saving wins; ties go to the
+    lowest removal resource index, then the lowest addition resource index.
+    One :func:`~polynash.rank.tight_sets` pass decides every exchange: a unit
+    can move from r to s iff s is unsaturated or r lies in the smallest
+    tight set containing s.
     """
     counts = tuple(int(v) for v in counts)
+    tight = tight_sets(f, counts)
+    if not tight.feasible:
+        raise ContractError(f"count vector {counts} lies outside the polytope")
     _require_coverage(f, w, sum(counts))
     best: SwapStep | None = None
     for r in range(f.m):
@@ -149,15 +153,10 @@ def local_improvement(
             if s == r:
                 continue
             t = counts[s] + 1
-            if t > f.singleton(s) or t > w.length(s):
+            if t > w.length(s):
                 continue
             w_in = w.weight(s, t)
-            if w_in >= w_out:
-                continue
-            swapped = list(counts)
-            swapped[r] -= 1
-            swapped[s] += 1
-            if not member_polytope(f, tuple(swapped)):
+            if w_in >= w_out or not tight.can_exchange(r, s):
                 continue
             improvement = w_out - w_in
             if best is None or improvement > best.improvement:
@@ -242,13 +241,13 @@ def is_best_response(g: GameInstance, p: Profile, i: int) -> bool:
 
     The player's demand is taken as the size of their current strategy, so
     this works both for finished profiles and for partially inserted ones.
+    The strategy must lie inside the player's polytope (ContractError
+    otherwise); it is then optimal exactly when no single exchange improves
+    it (see :func:`local_improvement`).
     """
     x = p.strategies[i]
-    k = sum(x)
-    if k == 0:
+    if sum(x) == 0:
         return True
     loads = p.loads(g.m)
     a = tuple(loads[r] - x[r] for r in range(g.m))
-    w = induced_weights(g, i, a)
-    optimum = ordered_greedy(g.ranks[i], k, w)
-    return w.ideal_weight(x) <= w.ideal_weight(optimum)
+    return local_improvement(g.ranks[i], x, induced_weights(g, i, a)) is None

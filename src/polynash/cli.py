@@ -223,7 +223,12 @@ def _cmd_gen(args) -> int:
     elif args.kind == "singleton":
         if args.resource_sets is None or args.demands is None:
             raise _UsageError("kind singleton needs --resource-sets and --demands")
-        demands = [int(part) for part in args.demands.split(",")]
+        try:
+            demands = [int(part) for part in args.demands.split(",")]
+        except ValueError:
+            raise _UsageError(
+                f"--demands must be comma-separated integers, got {args.demands!r}"
+            ) from None
         set_names = [_split_names(block) for block in args.resource_sets.split(";")]
         if len(set_names) != len(demands):
             raise _UsageError("one resource set per demand required")
@@ -293,16 +298,41 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        raise _UsageError(f"matroid spec field {what!r} must be a list of integers")
+    return value
+
+
+def _int_rows(value, what: str) -> list[list[int]]:
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(_is_int(v) for v in row) for row in value
+    ):
+        raise _UsageError(f"matroid spec field {what!r} must be a list of integer lists")
+    return value
+
+
 def _matroid_spec(entry) -> MatroidSpec:
     if not isinstance(entry, dict) or "kind" not in entry:
         raise _UsageError("each matroid spec must be an object with a 'kind'")
     kind = entry["kind"]
     if kind == "uniform":
-        return MatroidSpec.uniform(entry.get("rank", 1))
+        rank = entry.get("rank", 1)
+        if not _is_int(rank):
+            raise _UsageError(f"matroid spec field 'rank' must be an integer, got {rank!r}")
+        return MatroidSpec.uniform(rank)
     if kind == "partition":
-        return MatroidSpec.partition(entry.get("blocks", []), entry.get("caps", []))
+        blocks = _int_rows(entry.get("blocks", []), "blocks")
+        return MatroidSpec.partition(blocks, _int_list(entry.get("caps", []), "caps"))
     if kind == "graphic":
-        return MatroidSpec.graphic(entry.get("edges", []))
+        edges = _int_rows(entry.get("edges", []), "edges")
+        if any(len(edge) != 2 for edge in edges):
+            raise _UsageError("matroid spec field 'edges' must hold pairs of vertices")
+        return MatroidSpec.graphic(edges)
     raise _UsageError(f"unknown matroid kind {kind!r}")
 
 

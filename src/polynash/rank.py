@@ -10,6 +10,9 @@ inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import and_, eq, gt, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -117,6 +120,63 @@ def _checked_vector(f: RankFunction, x: Sequence[int]) -> tuple[int, ...]:
     if any(v < 0 for v in vec):
         raise MalformedInputError("count vectors must be nonnegative")
     return vec
+
+
+@dataclass(frozen=True)
+class TightSets:
+    """The tight subsets {U : x(U) = f(U)} of a count vector x, from tight_sets.
+
+    For x inside the polytope of f the tight sets are closed under union and
+    intersection, so two masks answer every unit step from x:
+
+    - ``saturated`` is their union sat(x); x + e_r stays inside exactly when
+      r is outside it;
+    - ``dependent(s)`` is the smallest tight set containing s, dep(x, s);
+      for x_r >= 1, x - e_r + e_s stays inside exactly when s is outside
+      sat(x) or r lies in dep(x, s).
+
+    When ``feasible`` is False, x violates some capacity, ``tight`` is empty
+    and the unit-step answers are meaningless.
+    """
+
+    feasible: bool
+    saturated: int
+    tight: tuple[int, ...]  # every tight subset, ascending
+
+    def dependent(self, s: int) -> int:
+        """dep(x, s), the smallest tight set containing s; 0 when s is unsaturated."""
+        bit = 1 << s
+        if not self.saturated & bit:
+            return 0
+        return reduce(and_, filter(bit.__and__, self.tight))
+
+    def can_add(self, r: int) -> bool:
+        """Whether one more unit on resource r keeps x inside the polytope."""
+        return not self.saturated >> r & 1
+
+    def can_exchange(self, r: int, s: int) -> bool:
+        """Whether moving one of x's units from r to s keeps x inside the polytope."""
+        return self.can_add(s) or bool(self.dependent(s) >> r & 1)
+
+
+def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
+    """Membership of x in the polytope of f together with its tight subsets.
+
+    One pass over the 2**m subsets: x(U) for every U comes from a doubling
+    DP (the sums over subsets of the first j + 1 resources are those of the
+    first j resources, then the same plus x_j), and each is compared with
+    f(U). Answers the same membership question as :func:`member_polytope`,
+    which stays as the subset-by-subset reference.
+    """
+    vec = _checked_vector(f, x)
+    values = f.values
+    sums = [0]
+    for v in vec:
+        sums += [total + v for total in sums]
+    if any(map(gt, sums, values)):
+        return TightSets(False, 0, ())
+    tight = tuple(compress(range(len(values)), map(eq, sums, values)))
+    return TightSets(True, reduce(or_, tight, 0), tight)
 
 
 def member_polytope(f: RankFunction, x: Sequence[int]) -> bool:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import InvariantError, ParseError
 from .game import CostTable, GameInstance, Profile
-from .rank import RankFunction
+from .rank import MAX_RESOURCES, RankFunction
 from .solver import (
     EVENT_DEMAND_INCREASE,
     EVENT_EQUILIBRIUM,
@@ -133,6 +133,11 @@ def parse_instance(data: bytes | str) -> GameInstance:
     _require(isinstance(names_raw, list), "resources must be a list of names")
     names = tuple(str(s) for s in names_raw)
     _require(len(set(names)) == len(names), "resource names must be unique")
+    # checked before any rank table of 2**m entries is allocated
+    _require(
+        len(names) <= MAX_RESOURCES,
+        f"instance names {len(names)} resources, more than the cap of {MAX_RESOURCES}",
+    )
     players = doc.get("players")
     _require(isinstance(players, list), "players must be a list")
     demands: list[int] = []

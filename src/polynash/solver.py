@@ -50,7 +50,8 @@ class SolverPolicy:
     ``seeded_random`` draws the next player from a seeded generator.
     ``debug_assertions`` additionally verifies the expensive preconditions:
     each repair input is re-checked for optimality by exhaustive enumeration,
-    and every player flagged as improvable must use the overloaded resource.
+    and the mover search tests every player, not only the holders of the
+    overloaded resource, requiring each improvable one to hold a unit there.
     """
 
     player_selection: str = "min_index"
@@ -173,11 +174,20 @@ def improving_players(
 ) -> list[int]:
     """Players whose strategy is not currently a best response, ascending index.
 
-    Scans every player. With ``debug`` set, additionally asserts that each
-    improvable player keeps at least one unit on the overloaded resource --
-    the only way a previously settled player can become improvable.
+    Without ``overloaded`` every player is tested. With it, ``p`` must be a
+    profile in which every player was a best response before one more unit
+    landed on ``overloaded``: only players keeping a unit there can have
+    become improvable (the locality lemma), so only they are tested. With
+    ``debug`` set, every player is tested anyway, and each improvable player
+    is asserted to keep at least one unit on the overloaded resource.
     """
-    out = [i for i in range(g.n) if not is_best_response(g, p, i)]
+    if overloaded is not None and not 0 <= overloaded < g.m:
+        raise MalformedInputError(f"resource index {overloaded} out of range")
+    if overloaded is None or debug:
+        candidates = range(g.n)
+    else:
+        candidates = [i for i in range(g.n) if p.strategies[i][overloaded]]
+    out = [i for i in candidates if not is_best_response(g, p, i)]
     if debug and overloaded is not None:
         for i in out:
             if p.strategies[i][overloaded] == 0:

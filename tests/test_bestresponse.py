@@ -94,6 +94,14 @@ def test_local_improvement_examples():
     assert local_improvement(modular, (2, 1), w) is None
 
 
+def test_local_improvement_rejects_vectors_outside_the_polytope():
+    with pytest.raises(ContractError):
+        local_improvement(F_AB, (0, 2), W_AB)  # b alone holds one unit
+    with pytest.raises(ContractError):
+        local_improvement(F_AB, (2, 1), W_AB)  # a and b together hold two
+    assert feasible_additions(F_AB, (0, 2)) == []  # nothing extends it either
+
+
 def test_repair_keeps_an_ideal_that_is_still_optimal():
     w_new = WeightedGround(((5, 5), (2,)))  # chain of a lifted: 1,5 -> 5,5
     repaired, swap = repair_best_response(F_AB, (1, 1), 0, W_AB, w_new)
@@ -242,3 +250,10 @@ def test_is_best_response_examples():
     # zero demand is trivially settled
     g3 = GameInstance(("a",), (0,), (RankFunction((0, 1)),), (((0,),),))
     assert is_best_response(g3, Profile(((0,),)), 0)
+
+
+def test_is_best_response_rejects_strategies_outside_the_polytope():
+    table = (0, 1, 2, 3, 4)
+    g = GameInstance(("a", "b"), (2,), (F_AB,), ((table, table),))
+    with pytest.raises(ContractError):
+        is_best_response(g, Profile(((0, 2),)), 0)

@@ -93,6 +93,40 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["gen", "--kind", "random", "--output", str(tmp_path / "x.json")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "kind_args",
+    [
+        ["--kind", "singleton", "--resource-sets", "a;a,b", "--demands", "1,x"],
+        ["--kind", "matroid", "--matroids", '[{"kind":"uniform","rank":"two"}]'],
+        [
+            "--kind",
+            "matroid",
+            "--matroids",
+            '[{"kind":"partition","blocks":[[0,"a"]],"caps":[1]}]',
+        ],
+        ["--kind", "matroid", "--matroids", '[{"kind":"graphic","edges":[[0]]}]'],
+    ],
+)
+def test_gen_rejects_malformed_fields_as_usage_errors(tmp_path, capsys, kind_args):
+    out = tmp_path / "g.json"
+    assert main(["gen", *kind_args, "--output", str(out)]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_too_many_resources_is_invalid(tmp_path, capsys):
+    names = [f"r{k}" for k in range(21)]
+    doc = {
+        "format_version": 1,
+        "resources": names,
+        "players": [{"demand": 1, "rank": {}, "costs": {}}],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--instance", str(path)]) == EXIT_INVALID
+    assert "cap of 20" in capsys.readouterr().err
+
+
 def test_missing_file_is_invalid(tmp_path):
     assert main(["check", "--instance", str(tmp_path / "nope.json")]) == EXIT_INVALID
 

@@ -19,6 +19,7 @@ from polynash import (
     write_profile,
     write_trace,
 )
+from polynash.rank import MAX_RESOURCES
 
 TWO_PLAYER_DOC = {
     "format_version": 1,
@@ -58,6 +59,16 @@ def test_parse_rejects_incomplete_rank_maps():
     with pytest.raises(ParseError) as err:
         parse_instance(json.dumps(doc).encode())
     assert "a,b" in str(err.value)
+
+
+def test_parse_rejects_more_resources_than_the_cap_before_reading_ranks():
+    names = [f"r{k}" for k in range(MAX_RESOURCES + 1)]
+    player = {"demand": 1, "rank": {"r0": 1}, "costs": {}}
+    doc = {"format_version": 1, "resources": names, "players": [player]}
+    with pytest.raises(ParseError) as err:
+        parse_instance(json.dumps(doc).encode())
+    assert f"cap of {MAX_RESOURCES}" in str(err.value)
+    assert "missing the subset" not in str(err.value)
 
 
 def test_parse_reports_syntax_positions():

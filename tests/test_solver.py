@@ -17,6 +17,7 @@ from polynash import (
     verify_pne,
 )
 from polynash.generators import gen_random
+from polynash.serialize import write_profile, write_trace
 from polynash.solver import (
     EVENT_DEMAND_INCREASE,
     EVENT_EQUILIBRIUM,
@@ -127,6 +128,40 @@ def test_improving_players_flags_the_disturbed_player():
     g = GameInstance(("a", "b"), (1, 1), (f, f), ((flat, flat), (linear, linear)))
     stacked = Profile(((1, 0), (1, 0)))
     assert improving_players(g, stacked, 0, debug=True) == [1]
+
+
+def test_holder_only_mover_scan_gives_the_same_bytes_as_the_full_scan():
+    # debug_assertions tests every player and asserts the locality lemma;
+    # without it only holders of the overloaded resource are tested
+    moves = 0
+    for seed in range(75):  # every (n, m) with n, m <= 5, demands up to 3
+        n, m, max_demand = 1 + seed % 5, 1 + seed // 5 % 5, 1 + seed // 25
+        for family in ("convex_nondecreasing", "truncated_ssc"):
+            g = gen_random(seed, n, m, max_demand, family)
+            for selection in ("min_index", "round_robin", "seeded_random"):
+                outputs = []
+                for debug in (False, True):
+                    policy = SolverPolicy(selection, seed=seed, debug_assertions=debug)
+                    profile, trace = compute_pne(g, policy)
+                    outputs.append(write_profile(g, profile) + write_trace(g, trace))
+                    moves += len(trace.improvement_moves())
+                assert outputs[0] == outputs[1], (seed, family, selection)
+    assert moves > 0
+
+
+def test_improving_players_tests_only_holders_of_the_overloaded_resource():
+    f = RankFunction((0, 1, 1, 1))
+    flat = (1, 1, 1)
+    linear = (0, 1, 2)
+    g = GameInstance(("a", "b"), (1, 1), (f, f), ((flat, flat), (linear, linear)))
+    stacked = Profile(((1, 0), (1, 0)))
+    assert improving_players(g, stacked, 0) == [1]
+    # only holders of the overloaded resource are tested: nobody holds b, so
+    # player 1 goes untested although it could improve
+    assert improving_players(g, stacked, 1) == []
+    assert improving_players(g, stacked, None) == [1]
+    with pytest.raises(MalformedInputError):
+        improving_players(g, stacked, 2)
 
 
 def test_round_robin_and_seeded_random_policies_also_settle():

@@ -1,0 +1,169 @@
+"""The one-pass tight-set primitive against the subset-by-subset reference.
+
+Random polymatroids come from ``bounded_random_rank`` and random vectors
+inside them from the independent product scan; every unit-step answer is
+checked against ``member_polytope`` on the stepped vector, and best-response
+tests against the exhaustive minimum weight.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polynash import (
+    GameInstance,
+    Profile,
+    RankFunction,
+    WeightedGround,
+    feasible_additions,
+    induced_weights,
+    is_best_response,
+    local_improvement,
+    member_polytope,
+    random_convex_table,
+    tight_sets,
+)
+
+from helpers import bounded_random_rank, feasible_vectors, ideal_weight, min_weight
+
+DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def _stepped(x, remove=None, add=None):
+    out = list(x)
+    if remove is not None:
+        out[remove] -= 1
+    if add is not None:
+        out[add] += 1
+    return tuple(out)
+
+
+@st.composite
+def rank_and_vector(draw, max_m=4, full_rank_cap=6):
+    """A random polymatroid and a random count vector inside its polytope."""
+    rng = draw(st.randoms(use_true_random=False))
+    f = bounded_random_rank(rng, draw(st.integers(1, max_m)), full_rank_cap)
+    d = draw(st.integers(0, f.rank_of_all))
+    x = draw(st.sampled_from(feasible_vectors(f.values, d)))
+    return f, x
+
+
+def test_tight_sets_on_the_worked_example():
+    f = RankFunction((0, 2, 1, 2))  # a alone 2, b alone 1, both 2
+    tight = tight_sets(f, (1, 1))  # tight: {b} and {a, b}
+    assert tight.feasible and tight.saturated == 0b11
+    assert tight.dependent(0) == 0b11 and tight.dependent(1) == 0b10
+    assert tight.can_exchange(1, 0)  # (2, 0) is inside
+    assert not tight.can_exchange(0, 1)  # (0, 2) overfills b
+    tight = tight_sets(f, (0, 1))
+    assert tight.saturated == 0b10 and tight.dependent(1) == 0b10
+    assert tight.can_add(0) and not tight.can_add(1)
+    assert tight.dependent(0) == 0
+    assert not tight_sets(f, (0, 2)).feasible
+
+
+@DIFFERENTIAL
+@given(rank_and_vector())
+def test_tight_sets_match_member_polytope_on_every_unit_step(case):
+    f, x = case
+    tight = tight_sets(f, x)
+    assert tight.feasible
+    for r in range(f.m):
+        assert tight.can_add(r) == member_polytope(f, _stepped(x, add=r))
+        for s in range(f.m):
+            if s != r and x[r]:
+                swapped = _stepped(x, remove=r, add=s)
+                assert tight.can_exchange(r, s) == member_polytope(f, swapped)
+
+
+@DIFFERENTIAL
+@given(rank_and_vector(), st.data())
+def test_tight_sets_detect_every_vector_outside_the_polytope(case, data):
+    f, x = case
+    bumped = _stepped(x, add=data.draw(st.integers(0, f.m - 1)))
+    assert tight_sets(f, bumped).feasible == member_polytope(f, bumped)
+
+
+@DIFFERENTIAL
+@given(rank_and_vector())
+def test_feasible_additions_match_a_per_candidate_member_check(case):
+    f, x = case
+    expected = [
+        (r, x[r] + 1) for r in range(f.m) if member_polytope(f, _stepped(x, add=r))
+    ]
+    assert feasible_additions(f, x) == expected
+
+
+@DIFFERENTIAL
+@given(rank_and_vector())
+def test_local_improvement_accepts_exactly_the_feasible_exchanges(case):
+    f, x = case
+    d = sum(x)
+    for r in range(f.m):
+        if not x[r]:
+            continue
+        for s in range(f.m):
+            if s == r:
+                continue
+            # r -> s saves 3, every other improving exchange at most 2, so the
+            # best exchange is r -> s exactly when that move is feasible
+            rows = tuple(
+                (3 if q == r else 0 if q == s else 1,) * min(f.singleton(q), d + 1)
+                for q in range(f.m)
+            )
+            swap = local_improvement(f, x, WeightedGround(rows))
+            chosen = swap is not None and (swap.remove[0], swap.add[0]) == (r, s)
+            assert chosen == member_polytope(f, _stepped(x, remove=r, add=s))
+
+
+def _reference_best_exchange(f, x, w):
+    """Largest-saving feasible exchange by member_polytope, same tie-breaking."""
+    best = None
+    for r in range(f.m):
+        for s in range(f.m):
+            if s == r or not x[r] or x[s] + 1 > w.length(s):
+                continue
+            saving = w.weight(r, x[r]) - w.weight(s, x[s] + 1)
+            if saving <= 0 or not member_polytope(f, _stepped(x, remove=r, add=s)):
+                continue
+            if best is None or saving > best[2]:
+                best = (r, s, saving)
+    return best
+
+
+@DIFFERENTIAL
+@given(rank_and_vector(), st.randoms(use_true_random=False))
+def test_local_improvement_matches_the_reference_best_exchange(case, rng):
+    f, x = case
+    d = sum(x)
+    rows = []
+    for r in range(f.m):
+        value, row = rng.randint(0, 5), []
+        for _ in range(min(f.singleton(r), d)):
+            row.append(value)
+            value += rng.randint(0, 4)
+        rows.append(tuple(row))
+    w = WeightedGround(tuple(rows))
+    swap = local_improvement(f, x, w)
+    got = None if swap is None else (swap.remove[0], swap.add[0], swap.improvement)
+    assert got == _reference_best_exchange(f, x, w)
+
+
+@DIFFERENTIAL
+@given(rank_and_vector(max_m=3, full_rank_cap=5), st.data())
+def test_is_best_response_matches_the_exhaustive_optimum(case, data):
+    f, x = case
+    rng = data.draw(st.randoms(use_true_random=False))
+    # an opponent with its own feasible strategy shifts the prices player 0 sees
+    other = bounded_random_rank(rng, f.m, 5)
+    y = rng.choice(feasible_vectors(other.values, rng.randint(0, other.rank_of_all)))
+    length = sum(x) + sum(y) + 1
+    costs = tuple(
+        tuple(random_convex_table(rng, length).values for _ in range(f.m))
+        for _ in range(2)
+    )
+    names = tuple(f"r{r}" for r in range(f.m))
+    g = GameInstance(names, (sum(x), sum(y)), (f, other), costs)
+    w = induced_weights(g, 0, y)
+    best, _ = min_weight(f.values, sum(x), w.weights)
+    assert is_best_response(g, Profile((x, y)), 0) == (ideal_weight(w.weights, x) == best)
+
