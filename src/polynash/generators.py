@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .errors import GenerationError, InvariantError, MalformedInputError
 from .game import CostTable, GameInstance, find_ssc_violation
+from .rank import MAX_RESOURCES as MAX_TABLE_RESOURCES
 from .rank import RankFunction, validate_rank
 
 __all__ = [
@@ -109,6 +110,11 @@ class MatroidSpec:
         return cls(kind="graphic", edges=edges)
 
     def rank_table(self, m: int) -> RankFunction:
+        # checked before the 2**m entries are built
+        if not 0 <= m <= MAX_TABLE_RESOURCES:
+            raise MalformedInputError(
+                f"matroid resource count must be in [0, {MAX_TABLE_RESOURCES}], got {m}"
+            )
         if self.kind == "uniform":
             values = [min(bin(mask).count("1"), self.rank) for mask in range(1 << m)]
         elif self.kind == "partition":

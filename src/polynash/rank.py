@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import and_, eq, gt, or_
+from operator import and_, eq, gt, lt, or_, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -35,7 +35,7 @@ class RankFunction:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
+        values = tuple(map(int, self.values))
         object.__setattr__(self, "values", values)
         size = len(values)
         if size == 0 or size & (size - 1):
@@ -46,7 +46,7 @@ class RankFunction:
             raise MalformedInputError(
                 f"rank table for more than {MAX_RESOURCES} resources is not supported"
             )
-        if any(v < 0 for v in values):
+        if min(values) < 0:
             raise MalformedInputError("rank table entries must be nonnegative")
 
     @property
@@ -93,8 +93,43 @@ def validate_rank(f: RankFunction) -> RankReport:
     Monotonicity is tested on all single-element extensions (U, U + {j}) and
     submodularity on all pairs (U + {j}, U + {k}) of extensions of a common
     U; both local families are equivalent to the unrestricted definitions.
-    Violations are listed in increasing bitmask order of the base subset.
+
+    An accepting pass decides validity first, in O(m^2 * 2^m) C-level steps:
+    for each j the differences d_j(U) = f(U + {j}) - f(U) over U without j
+    must be nonnegative (monotone) and must not grow when any k > j joins U
+    (the local submodular inequality, symmetric in j and k). Only when it
+    rejects does the subset-by-subset scan run, to list every violation in
+    increasing bitmask order of the base subset.
     """
+    if _local_differences_ok(f.values, f.m):
+        return RankReport(ok=True, violations=())
+    violations = _rank_violations(f)
+    return RankReport(ok=not violations, violations=violations)
+
+
+def _local_differences_ok(values: Sequence[int], m: int) -> bool:
+    if values[0] != 0:
+        return False
+    half = len(values) >> 1
+    quarter = half >> 1
+    table = list(values)
+    for j in range(m):
+        # L[0::2] + L[1::2] rotates the bit order of a mask-indexed list: old
+        # bit 0 becomes the top bit, old bit i + 1 becomes bit i. After j + 1
+        # rotations the top bit is bit j, so the halves hold U and U + {j}.
+        table = table[0::2] + table[1::2]
+        diffs = list(map(sub, table[half:], table[:half]))
+        if min(diffs) < 0:
+            return False
+        # bits j + 1, ..., m - 1 reach the top of diffs in turn
+        for _ in range(j + 1, m):
+            diffs = diffs[0::2] + diffs[1::2]
+            if any(map(lt, diffs[:quarter], diffs[quarter:])):
+                return False
+    return True
+
+
+def _rank_violations(f: RankFunction) -> tuple[tuple[str, int, int], ...]:
     values = f.values
     m = f.m
     violations: list[tuple[str, int, int]] = []
@@ -110,7 +145,7 @@ def validate_rank(f: RankFunction) -> RankReport:
                 with_k = base | 1 << k
                 if values[with_j] + values[with_k] < values[with_j | with_k] + values[base]:
                     violations.append(("submodular", with_j, with_k))
-    return RankReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def _checked_vector(f: RankFunction, x: Sequence[int]) -> tuple[int, ...]:

@@ -80,6 +80,13 @@ def _int_field(value, what: str) -> int:
     return value
 
 
+def _int_tuple(values: list, what: str) -> tuple[int, ...]:
+    """The entries of a JSON array that must all be integers (bool is a type of its own)."""
+    if set(map(type, values)) <= {int}:
+        return tuple(values)
+    return tuple(_int_field(v, what) for v in values)
+
+
 def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
     m = len(names)
     if isinstance(raw, list):
@@ -87,9 +94,7 @@ def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
             len(raw) == 1 << m,
             f"player {player} dense rank table has length {len(raw)}, expected {1 << m}",
         )
-        return RankFunction(
-            tuple(_int_field(v, f"player {player} rank entry") for v in raw)
-        )
+        return RankFunction(_int_tuple(raw, f"player {player} rank entry"))
     _require(isinstance(raw, dict), f"player {player} rank must be an array or a map")
     index = {name: r for r, name in enumerate(names)}
     table = [None] * (1 << m)
@@ -165,12 +170,7 @@ def parse_instance(data: bytes | str) -> GameInstance:
                 f"player {i} cost table for {name!r} must be an array",
             )
             row.append(
-                CostTable(
-                    tuple(
-                        _int_field(v, f"player {i} cost entry on {name!r}")
-                        for v in values
-                    )
-                )
+                CostTable(_int_tuple(values, f"player {i} cost entry on {name!r}"))
             )
         costs.append(tuple(row))
     return GameInstance(names, tuple(demands), tuple(ranks), tuple(costs))

@@ -127,6 +127,29 @@ def test_too_many_resources_is_invalid(tmp_path, capsys):
     assert "cap of 20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("resources", ["21", "-3"])
+def test_gen_matroid_checks_the_resource_count_before_building_tables(
+    tmp_path, capsys, resources
+):
+    out = tmp_path / "m.json"
+    rc = main(
+        [
+            "gen",
+            "--kind",
+            "matroid",
+            "--matroids",
+            '[{"kind":"uniform","rank":1}]',
+            "--resources",
+            resources,
+            "--output",
+            str(out),
+        ]
+    )
+    assert rc == EXIT_INVALID
+    assert f"must be in [0, 20], got {resources}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_is_invalid(tmp_path):
     assert main(["check", "--instance", str(tmp_path / "nope.json")]) == EXIT_INVALID
 

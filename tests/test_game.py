@@ -33,10 +33,14 @@ KINKED = tuple(4 * k if k <= 2 else 4 * k - 1 for k in range(12))
 
 
 def test_cost_table_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         CostTable((0, 2, 1))
-    with pytest.raises(ValidationError):
+    assert err.value.witness == ("decreasing", 1)
+    assert str(err.value) == "cost table decreases between loads 1 and 2 (2 > 1)"
+    with pytest.raises(ValidationError) as err:
         CostTable((0, -1))
+    assert err.value.witness == ("negative", 1)
+    assert str(err.value) == "cost table entry 1 is negative (-1)"
     with pytest.raises(ValidationError):
         CostTable(())
     table = CostTable((0, 1, 4))
@@ -183,6 +187,44 @@ def test_instance_validation_rejects_bad_rank():
     with pytest.raises(ValidationError) as err:
         GameInstance(("a", "b"), (1,), (bad,), (((0, 1), (0, 1)),))
     assert "submodular" in str(err.value)
+    assert err.value.witness == ("rank", 0, "submodular", 1, 2)
+    assert str(err.value) == (
+        "player 0 rank table is not submodular: witness subsets {a} and {b}"
+    )
+
+
+@pytest.mark.parametrize(
+    "values, witness, message",
+    [
+        (
+            (0, 2, 1, 1),
+            ("rank", 0, "monotone", 1, 3),
+            "player 0 rank table is not monotone: witness subsets {a} and {a,b}",
+        ),
+        (
+            (1, 2, 2, 2),
+            ("rank", 0, "normalized", 0, 0),
+            "player 0 rank table is not normalized: witness subsets {} and {}",
+        ),
+        (
+            (0, 2, 1, 3, 2, 3, 4, 4),
+            ("rank", 0, "submodular", 2, 4),
+            "player 0 rank table is not submodular: witness subsets {b} and {c}",
+        ),
+        (
+            (0, 1, 1, 2, 1, 2, 2, 1),
+            ("rank", 0, "monotone", 3, 7),
+            "player 0 rank table is not monotone: witness subsets {a,b} and {a,b,c}",
+        ),
+    ],
+)
+def test_instance_validation_names_the_first_rank_witness(values, witness, message):
+    f = RankFunction(values)
+    names = ("a", "b", "c")[: f.m]
+    with pytest.raises(ValidationError) as err:
+        GameInstance(names, (1,), (f,), (((0, 1, 2),) * f.m,))
+    assert err.value.witness == witness
+    assert str(err.value) == message
 
 
 def test_instance_validation_rejects_load_insensitive_costs():
@@ -190,6 +232,14 @@ def test_instance_validation_rejects_load_insensitive_costs():
     with pytest.raises(ValidationError) as err:
         GameInstance(("a",), (3,), (f,), (((0, 1, 4, 5),),))
     assert err.value.witness[0] == "ssc"
+    assert err.value.witness == ("ssc", 0, 0, (0, 1, 2, 2))
+    assert str(err.value) == (
+        "player 0 cost table on 'a' is not load-sensitive up to usage 3: "
+        "violated at prior loads a=0, b=1 with usages x=2, y=2"
+    )
+    with pytest.raises(ValidationError) as err:
+        GameInstance(("a",), (2,), (f,), (((0, 2, 3, 5, 6, 9),),))
+    assert err.value.witness == ("ssc", 0, 0, (0, 1, 3, 3))
 
 
 def test_check_profile():

@@ -107,6 +107,26 @@ def test_parse_rejects_missing_cost_entries():
     assert "'b'" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "field, entry, message",
+    [
+        ("rank", True, "player 1 rank entry must be an integer"),
+        ("rank", 1.0, "player 1 rank entry must be an integer"),
+        ("costs", False, "player 1 cost entry on 'b' must be an integer"),
+        ("costs", "2", "player 1 cost entry on 'b' must be an integer"),
+    ],
+)
+def test_parse_rejects_non_integer_array_entries(field, entry, message):
+    doc = json.loads(json.dumps(TWO_PLAYER_DOC))
+    if field == "rank":
+        doc["players"][1]["rank"][3] = entry
+    else:
+        doc["players"][1]["costs"]["b"][2] = entry
+    with pytest.raises(ParseError) as err:
+        parse_instance(json.dumps(doc).encode())
+    assert str(err.value) == message
+
+
 def test_instance_round_trip_is_structural_identity():
     for seed in range(10):
         g = gen_random(seed, 3, 3, 3)

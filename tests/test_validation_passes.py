@@ -1,0 +1,107 @@
+"""The accepting passes of instance validation against the full scans.
+
+``validate_rank`` and ``find_ssc_violation`` first run a cheap pass that
+only accepts or rejects, and fall back to their subset and quadruple scans
+to name a witness. These checks compare both answers with the independent
+oracles of ``helpers``, on tables near the boundary of validity: generated
+valid tables nudged by one unit, up to six resources so that every bit of
+the difference bookkeeping is exercised.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polynash import RankFunction, find_ssc_violation, validate_rank
+from polynash.game import _first_ssc_violation, _marginal_bill_monotone
+from polynash.generators import random_rank
+from polynash.rank import _local_differences_ok, _rank_violations
+
+from helpers import full_pair_rank_ok, ssc_ok
+
+DIFFERENTIAL = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def near_valid_rank(draw, max_m=6):
+    """A generated polymatroid with at most one entry moved by one unit."""
+    rng = draw(st.randoms(use_true_random=False))
+    values = list(random_rank(rng, draw(st.integers(1, max_m))).values)
+    if draw(st.booleans()):
+        mask = draw(st.integers(0, len(values) - 1))
+        values[mask] = max(0, values[mask] + draw(st.sampled_from((-1, 1))))
+    return RankFunction(tuple(values))
+
+
+@st.composite
+def any_rank(draw, max_m=6):
+    m = draw(st.integers(0, max_m))
+    entries = st.integers(0, 2 + m)
+    return RankFunction(tuple(draw(st.lists(entries, min_size=1 << m, max_size=1 << m))))
+
+
+@DIFFERENTIAL
+@given(st.one_of(near_valid_rank(), any_rank()))
+def test_validate_rank_matches_the_full_pair_definitions(f):
+    report = validate_rank(f)
+    assert report.ok == full_pair_rank_ok(f.values)
+    # exact, not merely safe: a pass that rejects valid tables would fall
+    # back to the scan and still answer right, only slowly
+    assert _local_differences_ok(f.values, f.m) == report.ok
+    assert report.violations == _rank_violations(f)
+
+
+def test_validate_rank_catches_a_nudge_on_every_subset():
+    # the uniform matroid of rank 2 on six resources stays a polymatroid when
+    # one singleton rises to 2 (a weighted truncation) or one pair drops to 1
+    # (a parallel pair), and breaks under every other single-entry nudge
+    m = 6
+    base = [min(bin(mask).count("1"), 2) for mask in range(1 << m)]
+    for mask in range(1 << m):
+        for delta, keeps_valid in ((1, 1), (-1, 2)):
+            nudged = list(base)
+            nudged[mask] += delta
+            if nudged[mask] < 0:
+                continue
+            f = RankFunction(tuple(nudged))
+            ok = validate_rank(f).ok
+            assert ok == full_pair_rank_ok(f.values)
+            assert ok == (bin(mask).count("1") == keeps_valid)
+
+
+@st.composite
+def near_ssc_table(draw):
+    """A nondecreasing walk or a convex table, with at most one entry nudged."""
+    length = draw(st.integers(1, 12))
+    steps = draw(st.lists(st.integers(0, 3), min_size=length - 1, max_size=length - 1))
+    if draw(st.booleans()):
+        steps.sort()  # convex: nondecreasing first differences
+    values = [draw(st.integers(0, 3))]
+    for step in steps:
+        values.append(values[-1] + step)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, length - 1))
+        values[k] = max(0, values[k] + draw(st.sampled_from((-1, 1))))
+    return tuple(values)
+
+
+def _bill(values, load, x):
+    return values[load + x] * x - values[load + x - 1] * (x - 1)
+
+
+@DIFFERENTIAL
+@given(
+    near_ssc_table(),
+    st.integers(0, 7),
+    st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_find_ssc_violation_matches_the_quadruple_scan(values, u, ab_max):
+    quad = find_ssc_violation(values, u, ab_max)
+    assert (quad is None) == ssc_ok(values, u, ab_max)
+    assert _marginal_bill_monotone(values, u, ab_max) == (quad is None)
+    assert quad == _first_ssc_violation(values, u, ab_max)
+    if quad is not None:
+        a, b, x, y = quad
+        assert 1 <= x <= y <= u and 0 <= a <= b
+        assert b + y <= len(values) - 1
+        assert ab_max is None or b <= ab_max
+        assert _bill(values, a, x) > _bill(values, b, y)
