@@ -1,17 +1,14 @@
-"""Rank tables: validation, membership, base enumeration, and the chain view.
+"""Rank tables: validation, membership, and base enumeration.
 
 A rank table assigns an integer capacity to every subset of resources. When
 it is normalized, monotone, and submodular, the count vectors respecting all
-subset capacities form the feasible splits of a demand, and replacing each
-resource by a chain of unit slots turns those splits into ideals of a small
-partial order. This script walks through all of it on a two-resource table.
+subset capacities form the feasible splits of a demand. This script walks
+through all of it on a two-resource table.
 """
 
 from polynash import (
-    ChainPoset,
     RankFunction,
     enumerate_base,
-    matroid_rank,
     member_base,
     member_polytope,
     validate_rank,
@@ -33,14 +30,3 @@ print("  (2,0) an exact split of 2 units?", member_base(f, 2, (2, 0)))
 
 print("\nall exact splits of 2 units:", enumerate_base(f, 2))
 print("all exact splits of 1 unit: ", enumerate_base(f, 1))
-
-# the chain view: resource a becomes slots a1 < a2, resource b the slot b1
-chains = ChainPoset.from_rank(f)
-print("\nchain lengths per resource:", chains.lengths)
-print("chain elements:", list(chains.elements()))
-
-# the single-unit reduction measures how many of a slot set can be used at once
-full = list(chains.elements())
-print("rank of all three slots:", matroid_rank(f, full), "(= capacity of everything)")
-print("rank of {a1, a2}:", matroid_rank(f, [(0, 1), (0, 2)]))
-print("rank of {a1, b1}:", matroid_rank(f, [(0, 1), (1, 1)]))

@@ -36,9 +36,7 @@ from .game import (
     Profile,
     WeightedGround,
     check_convex,
-    check_nondecreasing,
     check_ssc,
-    check_truncated_ssc,
     find_ssc_violation,
     induced_weights,
     private_cost,
@@ -59,12 +57,10 @@ from .oracle import (
     verify_pne,
 )
 from .rank import (
-    ChainPoset,
     RankFunction,
     RankReport,
     TightSets,
     enumerate_base,
-    matroid_rank,
     member_base,
     member_polytope,
     tight_sets,
@@ -95,7 +91,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError",
-    "ChainPoset",
     "ContractError",
     "CostTable",
     "CostTableRangeError",
@@ -123,10 +118,8 @@ __all__ = [
     "WeightedGround",
     "brute_force_best_response",
     "check_convex",
-    "check_nondecreasing",
     "check_ssc",
     "check_trace",
-    "check_truncated_ssc",
     "compute_pne",
     "enumerate_base",
     "enumerate_strategies",
@@ -144,7 +137,6 @@ __all__ = [
     "iteration_bound",
     "local_improvement",
     "marginal_vector",
-    "matroid_rank",
     "member_base",
     "member_polytope",
     "ordered_greedy",

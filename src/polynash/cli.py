@@ -347,8 +347,20 @@ def _cmd_check(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = parse_instance(_read(args.instance))
-    print(iteration_bound(g))
+    print(_decimal(iteration_bound(g)))
     return EXIT_OK
+
+
+def _decimal(value: int) -> str:
+    """str(value) past the interpreter's digit limit (4300 by default), restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,7 +20,7 @@ from .errors import (
     MalformedInputError,
     ValidationError,
 )
-from .rank import ChainPoset, RankFunction, member_base, validate_rank
+from .rank import RankFunction, member_base, validate_rank
 
 __all__ = [
     "CostTable",
@@ -28,9 +28,7 @@ __all__ = [
     "Profile",
     "WeightedGround",
     "check_convex",
-    "check_nondecreasing",
     "check_ssc",
-    "check_truncated_ssc",
     "find_ssc_violation",
     "induced_weights",
     "private_cost",
@@ -84,11 +82,6 @@ def _values_of(c) -> tuple[int, ...]:
     if isinstance(c, CostTable):
         return c.values
     return tuple(map(int, c))
-
-
-def check_nondecreasing(c) -> bool:
-    values = _values_of(c)
-    return all(values[k] <= values[k + 1] for k in range(len(values) - 1))
 
 
 def check_convex(c) -> bool:
@@ -165,22 +158,6 @@ def _first_ssc_violation(
     return None
 
 
-def check_truncated_ssc(c, u: int) -> bool:
-    """Load-sensitivity check with own usage x, y capped at u.
-
-    Quantifies prior loads a <= b over everything the table can express;
-    with u = 1 this reduces to the table being nondecreasing from load 1 on.
-    Runs :func:`find_ssc_violation`: an O(u * L) accepting pass, with the
-    quadruple scan only to name the first witness of a rejected table.
-    """
-    values = _values_of(c)
-    if u <= 0:
-        return True
-    if len(values) < 2:
-        raise CostTableRangeError("cost table too short: no load 1 to evaluate")
-    return find_ssc_violation(values, u) is None
-
-
 def check_ssc(c, horizon: int) -> bool:
     """Load-sensitivity check with usage and prior loads both capped at ``horizon``.
 
@@ -222,10 +199,6 @@ class WeightedGround:
                         f"position {t + 1} has {row[t]}, position {t + 2} has {row[t + 1]}"
                     )
 
-    @property
-    def chain_lengths(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.weights)
-
     def length(self, r: int) -> int:
         return len(self.weights[r])
 
@@ -259,7 +232,11 @@ class WeightedGround:
 
 @dataclass(frozen=True)
 class Profile:
-    """One count vector per player; loads are the per-resource sums."""
+    """One count vector per player; loads are the per-resource sums.
+
+    The loads are summed once, at construction, and kept outside the
+    dataclass fields, so equality, hashing and repr see only the strategies.
+    """
 
     strategies: tuple[tuple[int, ...], ...]
 
@@ -272,6 +249,7 @@ class Profile:
                 raise MalformedInputError("strategies must all have the same length")
         if any(v < 0 for s in strategies for v in s):
             raise MalformedInputError("strategies must be nonnegative")
+        object.__setattr__(self, "_loads", tuple(map(sum, zip(*strategies))))
 
     def loads(self, m: int | None = None) -> tuple[int, ...]:
         if not self.strategies:
@@ -281,7 +259,7 @@ class Profile:
         width = len(self.strategies[0])
         if m is not None and m != width:
             raise MalformedInputError(f"profile is over {width} resources, expected {m}")
-        return tuple(sum(s[r] for s in self.strategies) for r in range(width))
+        return self._loads
 
 
 @dataclass(frozen=True)
@@ -404,12 +382,8 @@ class GameInstance:
         """Positions player i can ever occupy on r: min of capacity and demand."""
         return min(self.ranks[i].singleton(r), self.demands[i])
 
-    def chain_poset(self, i: int) -> ChainPoset:
-        return ChainPoset.from_rank(self.ranks[i], max_length=self.demands[i])
-
-    def check_profile(self, p: Profile, demands: Sequence[int] | None = None) -> None:
+    def check_profile(self, p: Profile) -> None:
         """Raise unless every strategy sits in its player's base polyhedron."""
-        wanted = self.demands if demands is None else tuple(int(d) for d in demands)
         if len(p.strategies) != self.n:
             raise ValidationError(
                 f"profile has {len(p.strategies)} strategies, expected {self.n}",
@@ -421,10 +395,10 @@ class GameInstance:
                     f"player {i} strategy has length {len(strategy)}, expected {self.m}",
                     witness=("profile_shape", i),
                 )
-            if not member_base(self.ranks[i], wanted[i], strategy):
+            if not member_base(self.ranks[i], self.demands[i], strategy):
                 raise ValidationError(
                     f"player {i} strategy {strategy} is not a feasible split of "
-                    f"demand {wanted[i]}",
+                    f"demand {self.demands[i]}",
                     witness=("profile_member", i),
                 )
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import GenerationError, InvariantError, MalformedInputError
 from .game import CostTable, GameInstance, find_ssc_violation
@@ -110,46 +110,47 @@ class MatroidSpec:
         return cls(kind="graphic", edges=edges)
 
     def rank_table(self, m: int) -> RankFunction:
-        # checked before the 2**m entries are built
-        if not 0 <= m <= MAX_TABLE_RESOURCES:
-            raise MalformedInputError(
-                f"matroid resource count must be in [0, {MAX_TABLE_RESOURCES}], got {m}"
-            )
-        if self.kind == "uniform":
-            values = [min(bin(mask).count("1"), self.rank) for mask in range(1 << m)]
-        elif self.kind == "partition":
-            for b in self.blocks:
-                for r in b:
-                    if not 0 <= r < m:
-                        raise MalformedInputError(f"block resource {r} out of range")
-            values = []
-            for mask in range(1 << m):
-                total = 0
-                for b, cap in zip(self.blocks, self.caps):
-                    inside = sum(1 for r in b if mask >> r & 1)
-                    total += min(inside, cap)
-                values.append(total)
-        elif self.kind == "graphic":
-            if len(self.edges) != m:
-                raise MalformedInputError(
-                    f"graphic matroid has {len(self.edges)} edges, expected {m}"
-                )
-            values = []
-            for mask in range(1 << m):
-                uf = _UnionFind()
-                for r in range(m):
-                    if mask >> r & 1:
-                        uf.union(*self.edges[r])
-                values.append(uf.merges)
-        else:
-            raise MalformedInputError(f"unknown matroid kind {self.kind!r}")
-        f = RankFunction(tuple(values))
+        f = RankFunction(tuple(map(self._rank_of(m), range(1 << m))))
         for mask in range(1 << m):
             if f.values[mask] > bin(mask).count("1"):
                 raise InvariantError(
                     f"matroid rank table is not subcardinal at mask {mask}"
                 )
         return f
+
+    def _rank_of(self, m: int) -> Callable[[int], int]:
+        """Check the spec against m resources; return its rank as a function of a mask."""
+        # checked before any of the 2**m entries is evaluated
+        if not 0 <= m <= MAX_TABLE_RESOURCES:
+            raise MalformedInputError(
+                f"matroid resource count must be in [0, {MAX_TABLE_RESOURCES}], got {m}"
+            )
+        if self.kind == "uniform":
+            return lambda mask: min(bin(mask).count("1"), self.rank)
+        if self.kind == "partition":
+            for b in self.blocks:
+                for r in b:
+                    if not 0 <= r < m:
+                        raise MalformedInputError(f"block resource {r} out of range")
+            return lambda mask: sum(
+                min(sum(1 for r in b if mask >> r & 1), cap)
+                for b, cap in zip(self.blocks, self.caps)
+            )
+        if self.kind == "graphic":
+            if len(self.edges) != m:
+                raise MalformedInputError(
+                    f"graphic matroid has {len(self.edges)} edges, expected {m}"
+                )
+
+            def forest_size(mask: int) -> int:
+                uf = _UnionFind()
+                for r in range(m):
+                    if mask >> r & 1:
+                        uf.union(*self.edges[r])
+                return uf.merges
+
+            return forest_size
+        raise MalformedInputError(f"unknown matroid kind {self.kind!r}")
 
 
 def gen_singleton(
@@ -211,8 +212,11 @@ def gen_matroid_game(
 
 
 def matroid_total_demand(specs: Sequence[MatroidSpec], m: int) -> int:
-    """Sum of full ranks; the cost-table length needed is this plus one."""
-    return sum(spec.rank_table(m).rank_of_all for spec in specs)
+    """Sum of full ranks; the cost-table length needed is this plus one.
+
+    Evaluates each rank on the full resource set only, so no table is built.
+    """
+    return sum(spec._rank_of(m)((1 << m) - 1) for spec in specs)
 
 
 def _resource_names(
@@ -274,23 +278,21 @@ def random_rank(rng: random.Random, m: int, max_chain: int = 3) -> RankFunction:
     return f
 
 
-def random_convex_table(
-    rng: random.Random,
-    length: int,
-    start_cap: int = 3,
-    first_step_cap: int = 2,
-    growth_cap: int = 1,
-) -> CostTable:
-    """Convex nondecreasing table; default caps keep values at most 100 for length <= 10."""
+def random_convex_table(rng: random.Random, length: int) -> CostTable:
+    """Convex nondecreasing table; values stay at most 100 for length <= 10.
+
+    Starts at a value in [0, 3] with a first step in [0, 2]; each later step
+    grows by 0 or 1.
+    """
     if length < 1:
         raise MalformedInputError("cost table length must be positive")
-    value = rng.randint(0, start_cap)
-    step = rng.randint(0, first_step_cap)
+    value = rng.randint(0, 3)
+    step = rng.randint(0, 2)
     out = [value]
     for _ in range(length - 1):
         value += step
         out.append(value)
-        step += rng.randint(0, growth_cap)
+        step += rng.randint(0, 1)
     return CostTable(tuple(out))
 
 

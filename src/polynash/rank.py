@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import and_, eq, gt, lt, or_, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     EnumerationTooLargeError,
@@ -278,68 +278,3 @@ def enumerate_base(
 
     walk(0, d, [])
     return out
-
-
-@dataclass(frozen=True)
-class ChainPoset:
-    """Per-resource chains r_1 < r_2 < ...; element identity is (resource, position).
-
-    Two elements are comparable exactly when they share a resource, so a
-    down-closed subset is a prefix of every chain and count vectors encode
-    ideals with no extra structure.
-    """
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        lengths = tuple(int(v) for v in self.lengths)
-        object.__setattr__(self, "lengths", lengths)
-        if any(v < 0 for v in lengths):
-            raise MalformedInputError("chain lengths must be nonnegative")
-
-    @classmethod
-    def from_rank(cls, f: RankFunction, max_length: int | None = None) -> "ChainPoset":
-        lengths = [f.singleton(r) for r in range(f.m)]
-        if max_length is not None:
-            lengths = [min(length, max_length) for length in lengths]
-        return cls(tuple(lengths))
-
-    @property
-    def size(self) -> int:
-        return sum(self.lengths)
-
-    def elements(self) -> Iterator[tuple[int, int]]:
-        for r, length in enumerate(self.lengths):
-            for t in range(1, length + 1):
-                yield (r, t)
-
-    def contains(self, element: tuple[int, int]) -> bool:
-        r, t = element
-        return 0 <= r < len(self.lengths) and 1 <= t <= self.lengths[r]
-
-
-def matroid_rank(f: RankFunction, elements: Iterable[tuple[int, int]]) -> int:
-    """Rank of a set of chain elements in the single-unit reduction of f.
-
-    Evaluates min over all resource subsets T of |U without the chains of T|
-    plus f(T), exhaustively over the 2**m choices of T.
-    """
-    chains = ChainPoset.from_rank(f)
-    counts = [0] * f.m
-    seen: set[tuple[int, int]] = set()
-    for element in elements:
-        e = (int(element[0]), int(element[1]))
-        if e in seen:
-            continue
-        seen.add(e)
-        if not chains.contains(e):
-            raise MalformedInputError(f"element {e!r} lies outside the ground chains")
-        counts[e[0]] += 1
-    best: int | None = None
-    for tmask in range(len(f.values)):
-        outside = sum(counts[r] for r in range(f.m) if not tmask >> r & 1)
-        value = outside + f.values[tmask]
-        if best is None or value < best:
-            best = value
-    assert best is not None
-    return best

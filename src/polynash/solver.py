@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import sub
 
 from .bestresponse import (
     extend_best_response,
@@ -239,30 +240,25 @@ def compute_pne(
     total_cap = iteration_bound(g)
     step_cap = insertion_step_bound(g)
 
-    def current_profile() -> Profile:
-        return Profile(tuple(strategies))
-
-    def opponent_loads(i: int) -> tuple[int, ...]:
-        return tuple(
-            sum(strategies[h][r] for h in range(n) if h != i) for r in range(m)
-        )
+    # one Profile per state, its loads summed once; opponents see loads - x_j
+    profile = Profile(tuple(strategies))
 
     for outer in range(1, g.total_demand + 1):
         i, cursor = _pick_player(policy, g.demands, placed, rng, cursor)
         placed[i] += 1
-        settled_loads = current_profile().loads(m)
-        a = opponent_loads(i)
-        w = induced_weights(g, i, a)
+        settled_loads = profile.loads(m)
         old = strategies[i]
+        w = induced_weights(g, i, tuple(map(sub, settled_loads, old)))
         new = extend_best_response(g.ranks[i], w, old)
         r0 = next(r for r in range(m) if new[r] == old[r] + 1)
         strategies[i] = new
+        profile = Profile(tuple(strategies))
         unit_home[i].append(r0)
         events.append(
             TraceEvent(EVENT_DEMAND_INCREASE, outer, 0, player=i, unit=placed[i])
         )
         over = r0
-        snapshot = marginal_vector(g, current_profile(), over)
+        snapshot = marginal_vector(g, profile, over)
         events.append(
             TraceEvent(
                 EVENT_GREEDY_EXTEND,
@@ -277,9 +273,7 @@ def compute_pne(
         )
         inner = 0
         while True:
-            movers = improving_players(
-                g, current_profile(), over, debug=policy.debug_assertions
-            )
+            movers = improving_players(g, profile, over, debug=policy.debug_assertions)
             if not movers:
                 break
             j = movers[0]
@@ -288,7 +282,7 @@ def compute_pne(
                     f"improving player {j} holds no unit on overloaded resource "
                     f"{over}; strategies={strategies}"
                 )
-            aj = opponent_loads(j)
+            aj = tuple(map(sub, profile.loads(m), strategies[j]))
             if aj[over] == 0:
                 raise InvariantError(
                     f"the extra unit on resource {over} belongs to the mover "
@@ -320,6 +314,7 @@ def compute_pne(
             unit_idx = unit_home[j].index(from_r)
             unit_home[j][unit_idx] = to_r
             strategies[j] = repaired
+            profile = Profile(tuple(strategies))
             inner += 1
             total_moves += 1
             if inner > step_cap:
@@ -332,7 +327,7 @@ def compute_pne(
                     f"total improvement moves exceeded the bound {total_cap}"
                 )
             over = to_r
-            loads_now = current_profile().loads(m)
+            loads_now = profile.loads(m)
             expected = tuple(
                 settled_loads[r] + (1 if r == over else 0) for r in range(m)
             )
@@ -341,7 +336,7 @@ def compute_pne(
                     f"loads {loads_now} are not the settled loads {settled_loads} "
                     f"plus one unit on resource {over}"
                 )
-            nxt = marginal_vector(g, current_profile(), over)
+            nxt = marginal_vector(g, profile, over)
             if not nxt.sorted_view < snapshot.sorted_view:
                 raise InvariantError(
                     "sorted marginal vector failed to strictly decrease: "
@@ -370,4 +365,4 @@ def compute_pne(
                 marginal_sorted=snapshot.sorted_view,
             )
         )
-    return current_profile(), Trace(tuple(events))
+    return profile, Trace(tuple(events))

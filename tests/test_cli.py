@@ -1,10 +1,13 @@
 """End-to-end command-line behaviour and the exit-code table."""
 
+import functools
+import hashlib
 import json
+import sys
 
 import pytest
 
-from polynash import parse_instance
+from polynash import MatroidSpec, parse_instance
 from polynash.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -288,3 +291,61 @@ def test_solve_is_byte_deterministic(tmp_path, instance_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_bound_prints_every_digit_of_a_huge_bound(tmp_path, capsys):
+    # n = m = 2 and peak demand 1300: the bound has more than 4,300 digits,
+    # past the interpreter's default limit for str() of an int
+    linear = {"a": list(range(2602)), "b": list(range(2602))}
+    doc = {
+        "format_version": 1,
+        "resources": ["a", "b"],
+        "players": [
+            {"demand": 1300, "rank": [0, 1300, 1300, 1300], "costs": linear},
+            {"demand": 1, "rank": [0, 1300, 1300, 1300], "costs": linear},
+        ],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert main(["bound", "--instance", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out.strip()
+    assert text.isdigit() and len(text) > 4300
+    value = functools.reduce(lambda acc, digit: acc * 10 + int(digit), text, 0)
+    assert value == 2**1301 * 2**1300 * 1300**1301
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+# output of the matroid command below, recorded when it still built each table twice
+GEN_MATROID_DIGESTS = [
+    "50cd4beb502c9f5b974710e01b16822cb095218a2b030f7439300e3e7496d7ee",
+    "804925e52214ac5280365023136c3b30136905e5c0ae81ae601846b3ac43e4f8",
+]
+
+
+def test_gen_matroid_builds_each_rank_table_once(tmp_path, monkeypatch):
+    built = []
+    rank_table = MatroidSpec.rank_table
+
+    def counting(spec, m):
+        built.append(spec.kind)
+        return rank_table(spec, m)
+
+    monkeypatch.setattr(MatroidSpec, "rank_table", counting)
+    specs = json.dumps(
+        [
+            {"kind": "uniform", "rank": 2},
+            {"kind": "partition", "blocks": [[0, 1], [2]], "caps": [1, 1]},
+            {"kind": "graphic", "edges": [[0, 1], [1, 2], [2, 0]]},
+        ]
+    )
+    digests = []
+    for family in ("nondecreasing", "convex_nondecreasing"):
+        out = tmp_path / f"{family}.json"
+        args = ["gen", "--kind", "matroid", "--matroids", specs, "--seed", "4"]
+        rc = main(args + ["--cost-family", family, "--output", str(out)])
+        assert rc == EXIT_OK
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert built == ["uniform", "partition", "graphic"] * 2
+    assert digests == GEN_MATROID_DIGESTS

@@ -9,14 +9,13 @@ from polynash import (
     CostTable,
     CostTableRangeError,
     GameInstance,
+    MalformedInputError,
     Profile,
     RankFunction,
     ValidationError,
     WeightedGround,
     check_convex,
-    check_nondecreasing,
     check_ssc,
-    check_truncated_ssc,
     find_ssc_violation,
     induced_weights,
     private_cost,
@@ -74,29 +73,21 @@ def test_truncated_check_at_usage_one_is_nondecreasingness():
         values = [rng.randint(0, 4)]
         for _ in range(5):
             values.append(values[-1] + rng.randint(0, 3))
-        assert check_nondecreasing(values)
-        assert check_truncated_ssc(values, 1)
+        CostTable(values)  # nondecreasing, or construction would raise
+        assert find_ssc_violation(values, 1) is None
 
 
 def test_truncated_check_examples():
-    assert check_truncated_ssc(SQUARES, 3)
+    assert find_ssc_violation(SQUARES, 3) is None
     table = (0, 1, 1, 5)
-    expected = ssc_ok(table, 2)  # independent oracle first
-    assert expected is True
-    assert check_truncated_ssc(table, 2) == expected
+    assert ssc_ok(table, 2)  # independent oracle first
+    assert find_ssc_violation(table, 2) is None
 
 
 def test_truncated_check_finds_decelerating_jumps():
     table = (0, 1, 4, 5, 5, 5)
     assert not ssc_ok(table, 3)
-    assert not check_truncated_ssc(table, 3)
     assert find_ssc_violation(table, 3) is not None
-
-
-def test_truncated_check_table_too_short():
-    with pytest.raises(CostTableRangeError):
-        check_truncated_ssc((7,), 1)
-    assert check_truncated_ssc((7,), 0)  # nothing to check
 
 
 def test_full_check_implies_every_truncation():
@@ -107,7 +98,7 @@ def test_full_check_implies_every_truncation():
             values.append(values[-1] + rng.randint(0, 3))
         if check_ssc(values, 4):
             for u in range(1, 5):
-                assert check_truncated_ssc(values, u)
+                assert find_ssc_violation(values, u) is None
 
 
 def test_random_convex_tables_pass_the_full_check():
@@ -247,6 +238,25 @@ def test_check_profile():
     g.check_profile(Profile(((1, 0), (0, 1))))
     with pytest.raises(ValidationError):
         g.check_profile(Profile(((1, 1), (0, 1))))  # wrong demand for player 0
+
+
+def test_profile_loads_errors_equality_and_repr():
+    p = Profile([[1, 2, 0], [3, 0, 1]])
+    assert p.loads() == (4, 2, 1) and p.loads(3) == (4, 2, 1)
+    with pytest.raises(MalformedInputError) as err:
+        p.loads(2)
+    assert str(err.value) == "profile is over 3 resources, expected 2"
+    empty = Profile(())
+    assert empty.loads(2) == (0, 0)
+    with pytest.raises(MalformedInputError) as err:
+        empty.loads()
+    assert str(err.value) == "resource count needed for an empty profile"
+    assert Profile(((), ())).loads() == ()
+    same = Profile(((1, 2, 0), (3, 0, 1)))
+    assert p == same and hash(p) == hash(same)
+    assert p != Profile(((1, 2, 0), (3, 1, 0)))
+    assert repr(p) == "Profile(strategies=((1, 2, 0), (3, 0, 1)))"
+    assert repr(empty) == "Profile(strategies=())"
 
 
 def test_telescoping_identity_on_random_instances():

@@ -10,9 +10,9 @@ from polynash import (
     MatroidSpec,
     check_convex,
     check_ssc,
-    check_truncated_ssc,
     compute_pne,
     enumerate_base,
+    find_ssc_violation,
     gen_matroid_game,
     gen_random,
     gen_singleton,
@@ -171,7 +171,7 @@ def test_gen_random_truncated_family_validates_and_contains_non_convex_tables():
         for i in range(g.n):
             for r in range(g.m):
                 table = g.costs[i][r]
-                assert check_truncated_ssc(table, g.ranks[i].singleton(r))
+                assert find_ssc_violation(table.values, g.ranks[i].singleton(r)) is None
                 if not check_convex(table.values):
                     non_convex += 1
     assert non_convex > 0

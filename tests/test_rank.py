@@ -1,17 +1,15 @@
-"""Rank tables: validation, membership, enumeration, and the chain reduction."""
+"""Rank tables: validation, membership, and enumeration."""
 
 import random
 
 import pytest
 
 from polynash import (
-    ChainPoset,
     EnumerationTooLargeError,
     InfeasibleTruncationError,
     MalformedInputError,
     RankFunction,
     enumerate_base,
-    matroid_rank,
     member_base,
     member_polytope,
     validate_rank,
@@ -108,39 +106,12 @@ def test_enumerate_base_cap():
         enumerate_base(f, 3, cap=2)
 
 
-def test_matroid_rank_examples():
-    assert matroid_rank(F_AB, [(0, 1), (0, 2), (1, 1)]) == 2
-    assert matroid_rank(F_AB, []) == 0
-    assert matroid_rank(F_AB, [(0, 1)]) == 1
-
-
-def test_matroid_rank_rejects_foreign_elements():
-    with pytest.raises(MalformedInputError):
-        matroid_rank(F_AB, [(1, 2)])  # chain of b has length 1
-
-
-def test_chain_poset_mirrors_single_resource_capacities():
-    chains = ChainPoset.from_rank(F_AB)
-    assert chains.lengths == (2, 1)
-    assert list(chains.elements()) == [(0, 1), (0, 2), (1, 1)]
-    capped = ChainPoset.from_rank(F_AB, max_length=1)
-    assert capped.lengths == (1, 1)
-
-
 def test_bases_nonempty_up_to_full_rank():
     rng = random.Random(7)
     for _ in range(60):
         f = bounded_random_rank(rng, rng.randint(1, 4), full_rank_cap=6)
         for d in range(f.rank_of_all + 1):
             assert enumerate_base(f, d), (f.values, d)
-
-
-def test_full_ground_has_matroid_rank_equal_to_full_rank():
-    rng = random.Random(8)
-    for _ in range(40):
-        f = bounded_random_rank(rng, rng.randint(1, 4), full_rank_cap=6)
-        chains = ChainPoset.from_rank(f)
-        assert matroid_rank(f, chains.elements()) == f.rank_of_all
 
 
 def test_member_base_matches_enumeration():
@@ -157,25 +128,3 @@ def test_member_base_matches_enumeration():
             if sum(x) != d:
                 continue
             assert member_base(f, d, x) == (x in listed)
-
-
-def test_matroid_rank_is_monotone_and_submodular_on_small_grounds():
-    rng = random.Random(10)
-    checked = 0
-    while checked < 4:
-        f = bounded_random_rank(rng, rng.randint(2, 3), full_rank_cap=6, max_chain=2)
-        chains = ChainPoset.from_rank(f)
-        elements = list(chains.elements())
-        if not 1 <= len(elements) <= 8:
-            continue
-        checked += 1
-        size = len(elements)
-        ranks = {}
-        for mask in range(1 << size):
-            subset = [elements[j] for j in range(size) if mask >> j & 1]
-            ranks[mask] = matroid_rank(f, subset)
-        for u in range(1 << size):
-            for v in range(1 << size):
-                if u | v == v:
-                    assert ranks[u] <= ranks[v]
-                assert ranks[u] + ranks[v] >= ranks[u | v] + ranks[u & v]
