@@ -162,6 +162,13 @@ def _read(path: str) -> bytes:
         raise ParseError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
+
+
 def _cmd_solve(args) -> int:
     g = parse_instance(_read(args.instance))
     policy = SolverPolicy(
@@ -170,9 +177,9 @@ def _cmd_solve(args) -> int:
         debug_assertions=args.debug_assertions,
     )
     profile, trace = compute_pne(g, policy)
-    Path(args.output).write_bytes(write_profile(g, profile))
+    _write(args.output, write_profile(g, profile))
     if args.trace:
-        Path(args.trace).write_bytes(write_trace(g, trace))
+        _write(args.trace, write_trace(g, trace))
     moves = len(trace.improvement_moves())
     print(
         f"solved: {g.total_demand} insertions, {moves} improvement moves; "
@@ -290,7 +297,7 @@ def _cmd_gen(args) -> int:
                     row.append(tuple(values))
             costs.append(row)
         g = gen_matroid_game(specs, costs, resource_names=names)
-    Path(args.output).write_bytes(write_instance(g))
+    _write(args.output, write_instance(g))
     print(
         f"generated {args.kind} instance: {g.n} players, {g.m} resources, "
         f"total demand {g.total_demand} -> {args.output}"

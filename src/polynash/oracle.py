@@ -37,11 +37,12 @@ def _cap(default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        cap = int(raw)
+        if cap >= 0:
+            return cap
     except ValueError:
-        raise MalformedInputError(
-            f"{_ENV_CAP} must be an integer, got {raw!r}"
-        ) from None
+        pass
+    raise MalformedInputError(f"{_ENV_CAP} must be a nonnegative integer, got {raw!r}")
 
 
 def _within_capacities(rank_values: tuple[int, ...], x: Sequence[int]) -> bool:

@@ -29,7 +29,8 @@ class RankFunction:
     """Integer set function f: 2^R -> N as an explicit bitmask-indexed table.
 
     Construction checks shape only; use :func:`validate_rank` to test the
-    polymatroid properties (normalized, monotone, submodular).
+    polymatroid properties (normalized, monotone, submodular). ``m`` is set
+    once, outside the dataclass fields, so equality, hash and repr see only values.
     """
 
     values: tuple[int, ...]
@@ -48,15 +49,7 @@ class RankFunction:
             )
         if min(values) < 0:
             raise MalformedInputError("rank table entries must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        """Number of resources."""
-        return (len(self.values) - 1).bit_length()
-
-    @property
-    def full_mask(self) -> int:
-        return len(self.values) - 1
+        object.__setattr__(self, "m", (size - 1).bit_length())
 
     @property
     def rank_of_all(self) -> int:

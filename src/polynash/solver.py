@@ -14,11 +14,7 @@ import random
 from dataclasses import dataclass
 from operator import sub
 
-from .bestresponse import (
-    extend_best_response,
-    is_best_response,
-    repair_best_response,
-)
+from .bestresponse import extend_best_response, local_improvement, repair_best_response
 from .errors import CostTableRangeError, InvariantError, MalformedInputError
 from .game import GameInstance, Profile, induced_weights
 
@@ -49,10 +45,10 @@ class SolverPolicy:
     ``min_index`` (default) inserts a player's whole demand before the next
     player starts; ``round_robin`` deals units out cyclically;
     ``seeded_random`` draws the next player from a seeded generator.
-    ``debug_assertions`` additionally verifies the expensive preconditions:
-    each repair input is re-checked for optimality by exhaustive enumeration,
-    and the mover search tests every player, not only the holders of the
-    overloaded resource, requiring each improvable one to hold a unit there.
+    ``debug_assertions`` adds the expensive checks: every player is tested at
+    every state, each improvable one required to hold a unit on the overloaded
+    resource, and each move is re-derived through :func:`repair_best_response`,
+    which confirms by enumeration that the mover was optimal one unit earlier.
     """
 
     player_selection: str = "min_index"
@@ -184,11 +180,7 @@ def improving_players(
     """
     if overloaded is not None and not 0 <= overloaded < g.m:
         raise MalformedInputError(f"resource index {overloaded} out of range")
-    if overloaded is None or debug:
-        candidates = range(g.n)
-    else:
-        candidates = [i for i in range(g.n) if p.strategies[i][overloaded]]
-    out = [i for i in candidates if not is_best_response(g, p, i)]
+    out = [i for i, _ in _improvements(g, p, None if debug else overloaded)]
     if debug and overloaded is not None:
         for i in out:
             if p.strategies[i][overloaded] == 0:
@@ -197,6 +189,21 @@ def improving_players(
                     f"{overloaded}; strategies={p.strategies} loads={p.loads(g.m)}"
                 )
     return out
+
+
+def _improvements(g: GameInstance, p: Profile, overloaded: int | None):
+    """Yield (player, local_improvement swap) per improvable player, ascending.
+
+    With ``overloaded`` only the players keeping a unit there are tested.
+    """
+    loads = p.loads(g.m)
+    for i, x in enumerate(p.strategies):
+        if (sum(x) if overloaded is None else x[overloaded]) == 0:
+            continue
+        w = induced_weights(g, i, tuple(map(sub, loads, x)))
+        swap = local_improvement(g.ranks[i], x, w)
+        if swap is not None:
+            yield i, swap
 
 
 def _pick_player(
@@ -273,47 +280,39 @@ def compute_pne(
         )
         inner = 0
         while True:
-            movers = improving_players(g, profile, over, debug=policy.debug_assertions)
-            if not movers:
+            if policy.debug_assertions:
+                improving_players(g, profile, over, debug=True)
+            # the first improvable holder moves by the exchange that shows it
+            j, swap = next(_improvements(g, profile, over), (None, None))
+            if swap is None:
                 break
-            j = movers[0]
-            if strategies[j][over] == 0:
-                raise InvariantError(
-                    f"improving player {j} holds no unit on overloaded resource "
-                    f"{over}; strategies={strategies}"
-                )
-            aj = tuple(map(sub, profile.loads(m), strategies[j]))
-            if aj[over] == 0:
+            x = strategies[j]
+            if profile.loads(m)[over] == x[over]:
                 raise InvariantError(
                     f"the extra unit on resource {over} belongs to the mover "
                     f"{j} itself; strategies={strategies}"
                 )
-            pre_shift = tuple(aj[r] - (1 if r == over else 0) for r in range(m))
-            w_old = induced_weights(g, j, pre_shift)
-            w_new = induced_weights(g, j, aj)
-            repaired, swap = repair_best_response(
-                g.ranks[j],
-                strategies[j],
-                over,
-                w_old,
-                w_new,
-                verify_input_optimal=policy.debug_assertions,
-            )
-            if swap is None:
-                raise InvariantError(
-                    f"player {j} was flagged improvable but its repair found the "
-                    f"strategy optimal; strategies={strategies} overloaded={over}"
-                )
-            from_r = swap.remove[0]
-            to_r = swap.add[0]
+            from_r, to_r = swap.remove[0], swap.add[0]
             if from_r != over:
                 raise InvariantError(
                     f"improvement move leaves resource {from_r}, expected the "
                     f"overloaded resource {over}"
                 )
+            if policy.debug_assertions:
+                # the weights rose only on `over`; x was optimal before that
+                a = tuple(map(sub, profile.loads(m), x))
+                pre_shift = a[:over] + (a[over] - 1,) + a[over + 1 :]
+                w_old = induced_weights(g, j, pre_shift)
+                w_new = induced_weights(g, j, a)
+                repair_best_response(
+                    g.ranks[j], x, over, w_old, w_new, verify_input_optimal=True
+                )
             unit_idx = unit_home[j].index(from_r)
             unit_home[j][unit_idx] = to_r
-            strategies[j] = repaired
+            moved = list(x)
+            moved[from_r] -= 1
+            moved[to_r] += 1
+            strategies[j] = tuple(moved)
             profile = Profile(tuple(strategies))
             inner += 1
             total_moves += 1
@@ -328,10 +327,9 @@ def compute_pne(
                 )
             over = to_r
             loads_now = profile.loads(m)
-            expected = tuple(
-                settled_loads[r] + (1 if r == over else 0) for r in range(m)
-            )
-            if loads_now != expected:
+            expected = list(settled_loads)
+            expected[over] += 1
+            if loads_now != tuple(expected):
                 raise InvariantError(
                     f"loads {loads_now} are not the settled loads {settled_loads} "
                     f"plus one unit on resource {over}"

@@ -153,6 +153,23 @@ def test_gen_matroid_checks_the_resource_count_before_building_tables(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["solve --output", "solve --trace", "gen --output"])
+def test_unwritable_output_is_a_usage_error(tmp_path, instance_path, capsys, target):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    solve = ["solve", "--instance", str(instance_path)]
+    argv = {
+        "solve --output": solve + ["--output", str(missing)],
+        "solve --trace": solve
+        + ["--output", str(tmp_path / "p.json"), "--trace", str(missing)],
+        "gen --output": ["gen", "--kind", "random", "--players", "2", "--resources"]
+        + ["2", "--max-demand", "1", "--output", str(missing)],
+    }[target]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {missing}: ")
+    assert err.count("\n") == 1
+
+
 def test_missing_file_is_invalid(tmp_path):
     assert main(["check", "--instance", str(tmp_path / "nope.json")]) == EXIT_INVALID
 

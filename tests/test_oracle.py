@@ -7,6 +7,7 @@ import pytest
 from polynash import (
     EnumerationTooLargeError,
     GameInstance,
+    MalformedInputError,
     Profile,
     RankFunction,
     brute_force_best_response,
@@ -98,6 +99,17 @@ def test_profile_cap_env_override(monkeypatch):
         exhaustive_pne_search(g)
     monkeypatch.delenv("POLYNASH_MAX_ENUM")
     assert exhaustive_pne_search(g)
+
+
+def test_negative_enumeration_cap_is_rejected(monkeypatch):
+    g = gen_random(2, 3, 3, 3)
+    monkeypatch.setenv("POLYNASH_MAX_ENUM", "-5")
+    for enumerate_ in (exhaustive_pne_search, lambda g: enumerate_strategies(g, 0)):
+        with pytest.raises(MalformedInputError, match="POLYNASH_MAX_ENUM must be a non"):
+            enumerate_(g)
+    monkeypatch.setenv("POLYNASH_MAX_ENUM", "0")  # zero is a cap, not an error
+    with pytest.raises(EnumerationTooLargeError):
+        enumerate_strategies(g, 0)
 
 
 def test_oracle_and_greedy_agree_against_random_opponents():

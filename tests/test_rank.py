@@ -1,5 +1,6 @@
 """Rank tables: validation, membership, and enumeration."""
 
+import dataclasses
 import random
 
 import pytest
@@ -25,6 +26,15 @@ def test_rank_function_rejects_bad_shapes():
         RankFunction((0, 1, 2))  # not a power of two
     with pytest.raises(MalformedInputError):
         RankFunction((0, -1))
+
+
+def test_rank_function_sets_its_resource_count_once_outside_its_fields():
+    f = RankFunction([0, 2, 1, 2])
+    assert vars(f)["m"] == 2  # computed at construction, not on every read
+    assert [RankFunction((0,)).m, RankFunction((0,) * 32).m] == [0, 5]
+    assert [field.name for field in dataclasses.fields(f)] == ["values"]
+    assert f == F_AB and hash(f) == hash(F_AB)
+    assert repr(f) == "RankFunction(values=(0, 2, 1, 2))"
 
 
 def test_validate_rank_accepts_the_worked_table():

@@ -4,10 +4,12 @@ import pytest
 
 from polynash import (
     GameInstance,
+    InvariantError,
     MalformedInputError,
     Profile,
     RankFunction,
     SolverPolicy,
+    SwapStep,
     compute_pne,
     improving_players,
     insertion_step_bound,
@@ -16,6 +18,7 @@ from polynash import (
     private_cost,
     verify_pne,
 )
+from polynash import bestresponse, solver
 from polynash.generators import gen_random
 from polynash.serialize import write_profile, write_trace
 from polynash.solver import (
@@ -246,3 +249,96 @@ def test_trace_marginals_strictly_decrease_within_each_insertion():
                 assert previous is not None
                 assert e.marginal_sorted < previous
                 previous = e.marginal_sorted
+
+
+def test_default_solve_moves_without_best_response_tests_or_repairs(monkeypatch):
+    # the exchange that shows a holder can improve is the move itself
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called during a default-policy solve")
+
+    monkeypatch.setattr(solver, "repair_best_response", forbidden)
+    monkeypatch.setattr(solver, "is_best_response", forbidden, raising=False)
+    monkeypatch.setattr(bestresponse, "is_best_response", forbidden)
+    moves = 0
+    for seed in range(30):
+        g = gen_random(seed, 3, 3, 3)
+        profile, trace = compute_pne(g)
+        assert verify_pne(g, profile).is_pne
+        moves += len(trace.improvement_moves())
+    assert moves > 0
+
+
+def test_mover_search_tests_holders_in_index_order_and_stops_at_the_first(
+    monkeypatch,
+):
+    # one unit each, all four on a: player 0 never minds a crowd on a, players
+    # 1 and 2 both prefer b once a holds four units, player 3 arrives last
+    ranks = tuple(RankFunction((0, 1, 1, 1)) for _ in range(4))
+    stay = ((0, 1, 1, 1, 1), (0, 9, 9, 9, 9))
+    crowd_averse = ((0, 1, 2, 3, 10), (0, 5, 5, 5, 5))
+    late = ((0, 1, 1, 1, 1), (0, 5, 5, 5, 5))
+    g = GameInstance(
+        ("a", "b"), (1, 1, 1, 1), ranks, (stay, crowd_averse, crowd_averse, late)
+    )
+    tested = []
+    real = solver.local_improvement
+
+    def recording(f, counts, w):
+        tested.append(next(i for i, rank in enumerate(ranks) if rank is f))
+        return real(f, counts, w)
+
+    monkeypatch.setattr(solver, "local_improvement", recording)
+    profile, trace = compute_pne(g)
+    # insertions 1-3 test the holders of a; after insertion 4 the search
+    # stops at player 1 without testing 2 or 3, and after the move only
+    # player 1 holds b
+    assert tested == [0, 0, 1, 0, 1, 2, 0, 1, 1]
+    moves = trace.improvement_moves()
+    assert [(e.player, e.from_resource, e.to_resource) for e in moves] == [(1, 0, 1)]
+    assert profile.strategies == ((1, 0), (0, 1), (1, 0), (1, 0))
+
+
+def test_debug_solve_scans_every_state_and_rederives_each_move(monkeypatch):
+    calls = []
+    for name in ("improving_players", "repair_best_response"):
+
+        def recording(*args, _real=getattr(solver, name), _name=name, **kwargs):
+            calls.append((_name, kwargs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, recording)
+    scan = ("improving_players", {"debug": True})
+    repair = ("repair_best_response", {"verify_input_optimal": True})
+    expected = []
+    for seed in range(30):
+        g = gen_random(seed, 3, 3, 3)
+        _, trace = compute_pne(g, SolverPolicy(debug_assertions=True))
+        # a full scan at every state, one checked repair before each move
+        for e in trace.events:
+            if e.kind == EVENT_GREEDY_EXTEND:
+                expected.append(scan)
+            elif e.kind == EVENT_IMPROVEMENT_MOVE:
+                expected += [repair, scan]
+    assert calls == expected
+    assert repair in calls
+
+
+def test_a_move_off_another_resource_breaks_an_always_on_invariant(monkeypatch):
+    # the game of test_arrival_displaces_a_settled_player_in_one_move: player
+    # 0's real move is a -> b; the fake exchange moves its unit from b instead
+    f = RankFunction((0, 1, 1, 1))
+    g = GameInstance(
+        ("a", "b"),
+        (1, 1),
+        (f, f),
+        (((0, 1, 10), (0, 3, 3)), ((0, 1, 2), (0, 9, 9))),
+    )
+    real = solver.local_improvement
+
+    def off_b(f, counts, w):
+        swap = real(f, counts, w)
+        return swap and SwapStep(remove=(1, 1), add=(0, 2), improvement=1)
+
+    monkeypatch.setattr(solver, "local_improvement", off_b)
+    with pytest.raises(InvariantError, match="move leaves resource 1, expected"):
+        compute_pne(g)
