@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
 from .game import GameInstance, Profile, WeightedGround, induced_weights
-from .rank import RankFunction, enumerate_base, tight_sets
+from .rank import RankFunction, TightSets, enumerate_base, tight_sets
 
 __all__ = [
     "SwapStep",
@@ -72,19 +72,30 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
 def _extend_once(
     f: RankFunction, w: WeightedGround, counts: tuple[int, ...]
 ) -> tuple[int, ...]:
-    best: tuple[int, int, int] | None = None  # (weight, resource, position)
-    for r, t in feasible_additions(f, counts):
-        if t > w.length(r):
-            continue
-        wt = w.weight(r, t)
-        if best is None or wt < best[0]:
-            best = (wt, r, t)
-    if best is None:
+    tight = tight_sets(f, counts)
+    r = _cheapest_addition(counts, w.weights, tight) if tight.feasible else None
+    if r is None:
         raise InfeasibleTruncationError(
             "no feasible addition exists; the demand exceeds the ground rank"
         )
-    _, r, t = best
-    return counts[:r] + (t,) + counts[r + 1 :]
+    return counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
+
+
+def _cheapest_addition(
+    counts: tuple[int, ...], rows: Sequence[Sequence[int]], tight: TightSets
+) -> int | None:
+    """Resource of the cheapest feasible next chain position, lowest index on ties.
+
+    ``tight`` must be the tight sets of ``counts``, which lies in the polytope;
+    None when no chain has a feasible position left within its row.
+    """
+    best: tuple[int, int] | None = None  # (weight, resource)
+    for r, c in enumerate(counts):
+        if c < len(rows[r]) and tight.can_add(r):
+            wt = rows[r][c]
+            if best is None or wt < best[0]:
+                best = (wt, r)
+    return None if best is None else best[1]
 
 
 def ordered_greedy(f: RankFunction, d: int, w: WeightedGround) -> tuple[int, ...]:
@@ -144,23 +155,33 @@ def local_improvement(
     if not tight.feasible:
         raise ContractError(f"count vector {counts} lies outside the polytope")
     _require_coverage(f, w, sum(counts))
+    return _best_exchange(counts, w.weights, tight)
+
+
+def _best_exchange(
+    counts: tuple[int, ...], rows: Sequence[Sequence[int]], tight: TightSets
+) -> SwapStep | None:
+    """The exchange loop of :func:`local_improvement`, on raw weight rows.
+
+    ``tight`` must be the tight sets of ``counts``, which lies in the
+    polytope, and each row must cover the positions ``counts`` holds.
+    Positions past the end of a row are never added.
+    """
+    # weight of the next free position of each chain, None past its row
+    w_in = [row[c] if c < len(row) else None for row, c in zip(rows, counts)]
     best: SwapStep | None = None
-    for r in range(f.m):
-        if counts[r] == 0:
+    for r, c in enumerate(counts):
+        if c == 0:
             continue
-        w_out = w.weight(r, counts[r])
-        for s in range(f.m):
-            if s == r:
+        w_out = rows[r][c - 1]
+        for s, w_s in enumerate(w_in):
+            if s == r or w_s is None or w_s >= w_out or not tight.can_exchange(r, s):
                 continue
-            t = counts[s] + 1
-            if t > w.length(s):
-                continue
-            w_in = w.weight(s, t)
-            if w_in >= w_out or not tight.can_exchange(r, s):
-                continue
-            improvement = w_out - w_in
+            improvement = w_out - w_s
             if best is None or improvement > best.improvement:
-                best = SwapStep(remove=(r, counts[r]), add=(s, t), improvement=improvement)
+                best = SwapStep(
+                    remove=(r, c), add=(s, counts[s] + 1), improvement=improvement
+                )
     return best
 
 

@@ -10,7 +10,7 @@ all evaluation is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import gt, mul, sub
 from typing import Sequence
 
@@ -189,15 +189,10 @@ class WeightedGround:
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.weights)
+        rows = tuple(tuple(map(int, row)) for row in self.weights)
         object.__setattr__(self, "weights", rows)
         for r, row in enumerate(rows):
-            for t in range(len(row) - 1):
-                if row[t] > row[t + 1]:
-                    raise AdmissibilityError(
-                        f"weights decrease along the chain of resource {r}: "
-                        f"position {t + 1} has {row[t]}, position {t + 2} has {row[t + 1]}"
-                    )
+            _check_chain(r, row)
 
     def length(self, r: int) -> int:
         return len(self.weights[r])
@@ -241,13 +236,11 @@ class Profile:
     strategies: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        strategies = tuple(tuple(int(v) for v in s) for s in self.strategies)
+        strategies = tuple(tuple(map(int, s)) for s in self.strategies)
         object.__setattr__(self, "strategies", strategies)
-        if strategies:
-            m = len(strategies[0])
-            if any(len(s) != m for s in strategies):
-                raise MalformedInputError("strategies must all have the same length")
-        if any(v < 0 for s in strategies for v in s):
+        if len(set(map(len, strategies))) > 1:
+            raise MalformedInputError("strategies must all have the same length")
+        if min(chain.from_iterable(strategies), default=0) < 0:
             raise MalformedInputError("strategies must be nonnegative")
         object.__setattr__(self, "_loads", tuple(map(sum, zip(*strategies))))
 
@@ -432,24 +425,46 @@ def induced_weights(g: GameInstance, i: int, a: Sequence[int]) -> WeightedGround
         raise MalformedInputError(f"load vector has length {len(loads)}, expected {g.m}")
     if any(v < 0 for v in loads):
         raise MalformedInputError("opponent loads must be nonnegative")
-    rows = []
-    for r in range(g.m):
-        length = g.chain_cap(i, r)
-        table = g.costs[i][r]
-        if loads[r] + length > len(table) - 1:
-            raise CostTableRangeError(
-                f"player {i} cost table on {g.resources[r]!r} covers loads up to "
-                f"{len(table) - 1}, but weights need {loads[r] + length}"
-            )
-        row = tuple(
-            t * table[loads[r] + t] - (t - 1) * table[loads[r] + t - 1]
-            for t in range(1, length + 1)
+    return WeightedGround(
+        tuple(_weight_row(g, i, r, loads[r], g.chain_cap(i, r)) for r in range(g.m))
+    )
+
+
+def _weight_row(g: GameInstance, i: int, r: int, a: int, length: int) -> tuple[int, ...]:
+    """Row r of player i's induced weights at opponent load a, ``length`` positions.
+
+    Raises CostTableRangeError when the table is too short and
+    AdmissibilityError when the row decreases (a table that is not
+    load-sensitive).
+    """
+    values = g.costs[i][r].values
+    if a + length > len(values) - 1:
+        raise CostTableRangeError(
+            f"player {i} cost table on {g.resources[r]!r} covers loads up to "
+            f"{len(values) - 1}, but weights need {a + length}"
         )
-        rows.append(row)
+    row = tuple(
+        map(
+            sub,
+            map(mul, range(1, length + 1), values[a + 1 : a + length + 1]),
+            map(mul, range(length), values[a : a + length]),
+        )
+    )
     try:
-        return WeightedGround(tuple(rows))
+        _check_chain(r, row)
     except AdmissibilityError as exc:
         raise AdmissibilityError(
             f"player {i}: {exc}; the instance's cost tables fail the "
             f"load-sensitivity requirement"
         ) from None
+    return row
+
+
+def _check_chain(r: int, row: tuple[int, ...]) -> None:
+    """Raise AdmissibilityError at the first decrease along resource r's chain."""
+    if any(map(gt, row, row[1:])):
+        t = next(t for t in range(len(row) - 1) if row[t] > row[t + 1])
+        raise AdmissibilityError(
+            f"weights decrease along the chain of resource {r}: "
+            f"position {t + 1} has {row[t]}, position {t + 2} has {row[t + 1]}"
+        )

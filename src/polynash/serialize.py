@@ -273,10 +273,9 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
         "resources": list(g.resources),
         "players": g.n,
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines.extend(
-        json.dumps(_event_record(g, e), separators=(",", ":")) for e in trace.events
-    )
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = [encode(header)]
+    lines.extend(encode(_event_record(g, e)) for e in trace.events)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -12,11 +12,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import sub
+from itertools import repeat
+from operator import itemgetter, sub
 
-from .bestresponse import extend_best_response, local_improvement, repair_best_response
-from .errors import CostTableRangeError, InvariantError, MalformedInputError
-from .game import GameInstance, Profile, induced_weights
+from .bestresponse import (
+    SwapStep,
+    _best_exchange,
+    _cheapest_addition,
+    local_improvement,
+    repair_best_response,
+)
+from .errors import (
+    ContractError,
+    CostTableRangeError,
+    InfeasibleTruncationError,
+    InvariantError,
+    MalformedInputError,
+)
+from .game import GameInstance, Profile, _weight_row, induced_weights
+from .rank import TightSets, tight_sets
 
 __all__ = [
     "MarginalVector",
@@ -46,9 +60,11 @@ class SolverPolicy:
     player starts; ``round_robin`` deals units out cyclically;
     ``seeded_random`` draws the next player from a seeded generator.
     ``debug_assertions`` adds the expensive checks: every player is tested at
-    every state, each improvable one required to hold a unit on the overloaded
-    resource, and each move is re-derived through :func:`repair_best_response`,
-    which confirms by enumeration that the mover was optimal one unit earlier.
+    every state from fresh weights, each improvable one required to hold a
+    unit on the overloaded resource, the solve's memoised mover search must
+    pick the first of them with the same exchange, and each move is
+    re-derived through :func:`repair_best_response`, which confirms by
+    enumeration that the mover was optimal one unit earlier.
     """
 
     player_selection: str = "min_index"
@@ -123,25 +139,28 @@ def marginal_vector(
     loads = p.loads(g.m)
     entries: list[tuple[int, int, int]] = []
     for i, strategy in enumerate(p.strategies):
-        unit = 0
-        for r in range(g.m):
-            own = strategy[r]
+        unit = 1
+        for r, own in enumerate(strategy):
             if own == 0:
                 continue
-            table = g.costs[i][r]
+            values = g.costs[i][r].values
+            load = loads[r]
             if r == overloaded:
-                delta = table[loads[r]] * own - table[loads[r] - 1] * (own - 1)
+                if load >= len(values):
+                    raise CostTableRangeError(
+                        f"load {load} outside cost table of length {len(values)}"
+                    )
+                delta = values[load] * own - values[load - 1] * (own - 1)
             else:
-                if loads[r] + 1 >= len(table):
+                if load + 1 >= len(values):
                     raise CostTableRangeError(
                         f"player {i} cost table on resource {r} covers loads up to "
-                        f"{len(table) - 1}, marginal evaluation needs {loads[r] + 1}"
+                        f"{len(values) - 1}, marginal evaluation needs {load + 1}"
                     )
-                delta = table[loads[r] + 1] * own - table[loads[r]] * (own - 1)
-            for _ in range(own):
-                unit += 1
-                entries.append((i, unit, delta))
-    sorted_view = tuple(sorted((e[2] for e in entries), reverse=True))
+                delta = values[load + 1] * own - values[load] * (own - 1)
+            entries += zip(repeat(i, own), range(unit, unit + own), repeat(delta, own))
+            unit += own
+    sorted_view = tuple(sorted(map(itemgetter(2), entries), reverse=True))
     return MarginalVector(tuple(entries), overloaded, sorted_view)
 
 
@@ -180,7 +199,15 @@ def improving_players(
     """
     if overloaded is not None and not 0 <= overloaded < g.m:
         raise MalformedInputError(f"resource index {overloaded} out of range")
-    out = [i for i, _ in _improvements(g, p, None if debug else overloaded)]
+    scan = None if debug else overloaded
+    loads = p.loads(g.m)
+    out = []
+    for i, x in enumerate(p.strategies):
+        if (sum(x) if scan is None else x[scan]) == 0:
+            continue
+        w = induced_weights(g, i, tuple(map(sub, loads, x)))
+        if local_improvement(g.ranks[i], x, w) is not None:
+            out.append(i)
     if debug and overloaded is not None:
         for i in out:
             if p.strategies[i][overloaded] == 0:
@@ -191,19 +218,149 @@ def improving_players(
     return out
 
 
-def _improvements(g: GameInstance, p: Profile, overloaded: int | None):
-    """Yield (player, local_improvement swap) per improvable player, ascending.
+class _SettleState:
+    """What one solve has worked out about its players, kept for that solve.
 
-    With ``overloaded`` only the players keeping a unit there are tested.
+    Weight rows are keyed by (player, resource, opponent load) and built once,
+    from the cost table's values, with the range and nondecreasing checks of
+    :func:`~polynash.game.induced_weights`; each row has ``chain_cap``
+    positions, so it covers every chain position the player can reach. Each
+    player's last (x, tight sets) is kept, and the polytope check runs when
+    that entry is built. Insertions and the mover search read both.
     """
-    loads = p.loads(g.m)
-    for i, x in enumerate(p.strategies):
-        if (sum(x) if overloaded is None else x[overloaded]) == 0:
-            continue
-        w = induced_weights(g, i, tuple(map(sub, loads, x)))
-        swap = local_improvement(g.ranks[i], x, w)
-        if swap is not None:
-            yield i, swap
+
+    def __init__(self, g: GameInstance) -> None:
+        self.g = g
+        self._caps = [[g.chain_cap(i, r) for r in range(g.m)] for i in range(g.n)]
+        self._rows: list[list[dict[int, tuple[int, ...]]]] = [
+            [{} for _ in range(g.m)] for _ in range(g.n)
+        ]
+        self._tight: list[tuple[tuple[int, ...], TightSets] | None] = [None] * g.n
+
+    def rows(self, i: int, a) -> list[tuple[int, ...]]:
+        """Player i's weight rows at opponent loads ``a``, one per resource."""
+        memo, caps = self._rows[i], self._caps[i]
+        out = []
+        for r, load in enumerate(a):
+            row = memo[r].get(load)
+            if row is None:
+                row = memo[r][load] = _weight_row(self.g, i, r, load, caps[r])
+            out.append(row)
+        return out
+
+    def tight(self, i: int, x: tuple[int, ...]) -> TightSets:
+        """Tight sets of player i's strategy x, which must lie in its polytope."""
+        kept = self._tight[i]
+        if kept is not None and kept[0] == x:
+            return kept[1]
+        tight = tight_sets(self.g.ranks[i], x)
+        if not tight.feasible:
+            raise ContractError(f"count vector {x} lies outside the polytope")
+        self._tight[i] = (x, tight)
+        return tight
+
+    def extend(self, i: int, x: tuple[int, ...], loads: tuple[int, ...]) -> int:
+        """Resource of player i's cheapest feasible extra unit against ``loads - x``."""
+        rows = self.rows(i, map(sub, loads, x))
+        r = _cheapest_addition(x, rows, self.tight(i, x))
+        if r is None:
+            raise InfeasibleTruncationError(
+                "no feasible addition exists; the demand exceeds the ground rank"
+            )
+        return r
+
+    def exchange(
+        self, i: int, x: tuple[int, ...], loads: tuple[int, ...]
+    ) -> SwapStep | None:
+        """Player i's best improving exchange against ``loads - x``, or None."""
+        return _best_exchange(x, self.rows(i, map(sub, loads, x)), self.tight(i, x))
+
+    def first_move(
+        self, p: Profile, over: int
+    ) -> tuple[int, SwapStep] | tuple[None, None]:
+        """The first holder of ``over`` by index with an improving exchange, and it."""
+        loads = p.loads(self.g.m)
+        for i, x in enumerate(p.strategies):
+            if x[over]:
+                swap = self.exchange(i, x, loads)
+                if swap is not None:
+                    return i, swap
+        return None, None
+
+
+def _check_against_reference(
+    g: GameInstance, p: Profile, over: int, found: tuple[int | None, SwapStep | None]
+) -> None:
+    """Debug check: the settle search agrees with the fresh reference scan.
+
+    The reference is the first improvable player of the full locality scan
+    together with its fresh :func:`local_improvement` exchange.
+    """
+    reference = improving_players(g, p, over, debug=True)
+    expected: tuple[int | None, SwapStep | None] = (None, None)
+    if reference:
+        k = reference[0]
+        x = p.strategies[k]
+        w = induced_weights(g, k, tuple(map(sub, p.loads(g.m), x)))
+        expected = (k, local_improvement(g.ranks[k], x, w))
+    if found != expected:
+        raise InvariantError(
+            f"settle search found (player, swap) {found}, the reference scan "
+            f"{expected}; strategies={list(p.strategies)} overloaded={over}"
+        )
+
+
+def _check_move(
+    p: Profile,
+    j: int,
+    swap: SwapStep,
+    over: int,
+    settled_loads: tuple[int, ...],
+    outer: int,
+    inner: int,
+    total_moves: int,
+    step_cap: int,
+    total_cap: int,
+) -> Profile:
+    """Apply player j's move to p under the always-on invariants; return the result.
+
+    The extra unit on ``over`` is not the mover's own, the move leaves
+    ``over``, the moves so far stay within both bounds, and the loads after
+    it, freshly summed, are the settled loads plus one unit on its target.
+    """
+    m = len(settled_loads)
+    x = p.strategies[j]
+    if p.loads(m)[over] == x[over]:
+        raise InvariantError(
+            f"the extra unit on resource {over} belongs to the mover "
+            f"{j} itself; strategies={list(p.strategies)}"
+        )
+    from_r, to_r = swap.remove[0], swap.add[0]
+    if from_r != over:
+        raise InvariantError(
+            f"improvement move leaves resource {from_r}, expected the "
+            f"overloaded resource {over}"
+        )
+    moved = list(x)
+    moved[from_r] -= 1
+    moved[to_r] += 1
+    after = Profile(p.strategies[:j] + (tuple(moved),) + p.strategies[j + 1 :])
+    if inner > step_cap:
+        raise InvariantError(
+            f"improvement moves after insertion {outer} exceeded the bound "
+            f"{step_cap}"
+        )
+    if total_moves > total_cap:
+        raise InvariantError(f"total improvement moves exceeded the bound {total_cap}")
+    loads_now = after.loads(m)
+    expected = list(settled_loads)
+    expected[to_r] += 1
+    if loads_now != tuple(expected):
+        raise InvariantError(
+            f"loads {loads_now} are not the settled loads {settled_loads} "
+            f"plus one unit on resource {to_r}"
+        )
+    return after
 
 
 def _pick_player(
@@ -237,7 +394,6 @@ def compute_pne(
     """
     policy = policy or SolverPolicy()
     n, m = g.n, g.m
-    strategies: list[tuple[int, ...]] = [(0,) * m for _ in range(n)]
     placed = [0] * n
     unit_home: list[list[int]] = [[] for _ in range(n)]
     events: list[TraceEvent] = []
@@ -246,20 +402,19 @@ def compute_pne(
     total_moves = 0
     total_cap = iteration_bound(g)
     step_cap = insertion_step_bound(g)
+    settle = _SettleState(g)
 
     # one Profile per state, its loads summed once; opponents see loads - x_j
-    profile = Profile(tuple(strategies))
+    profile = Profile(((0,) * m,) * n)
 
     for outer in range(1, g.total_demand + 1):
         i, cursor = _pick_player(policy, g.demands, placed, rng, cursor)
         placed[i] += 1
         settled_loads = profile.loads(m)
-        old = strategies[i]
-        w = induced_weights(g, i, tuple(map(sub, settled_loads, old)))
-        new = extend_best_response(g.ranks[i], w, old)
-        r0 = next(r for r in range(m) if new[r] == old[r] + 1)
-        strategies[i] = new
-        profile = Profile(tuple(strategies))
+        old = profile.strategies[i]
+        r0 = settle.extend(i, old, settled_loads)
+        new = old[:r0] + (old[r0] + 1,) + old[r0 + 1 :]
+        profile = Profile(profile.strategies[:i] + (new,) + profile.strategies[i + 1 :])
         unit_home[i].append(r0)
         events.append(
             TraceEvent(EVENT_DEMAND_INCREASE, outer, 0, player=i, unit=placed[i])
@@ -280,26 +435,29 @@ def compute_pne(
         )
         inner = 0
         while True:
-            if policy.debug_assertions:
-                improving_players(g, profile, over, debug=True)
             # the first improvable holder moves by the exchange that shows it
-            j, swap = next(_improvements(g, profile, over), (None, None))
+            j, swap = settle.first_move(profile, over)
+            if policy.debug_assertions:
+                _check_against_reference(g, profile, over, (j, swap))
             if swap is None:
                 break
-            x = strategies[j]
-            if profile.loads(m)[over] == x[over]:
-                raise InvariantError(
-                    f"the extra unit on resource {over} belongs to the mover "
-                    f"{j} itself; strategies={strategies}"
-                )
-            from_r, to_r = swap.remove[0], swap.add[0]
-            if from_r != over:
-                raise InvariantError(
-                    f"improvement move leaves resource {from_r}, expected the "
-                    f"overloaded resource {over}"
-                )
+            inner += 1
+            total_moves += 1
+            moved = _check_move(
+                profile,
+                j,
+                swap,
+                over,
+                settled_loads,
+                outer,
+                inner,
+                total_moves,
+                step_cap,
+                total_cap,
+            )
             if policy.debug_assertions:
                 # the weights rose only on `over`; x was optimal before that
+                x = profile.strategies[j]
                 a = tuple(map(sub, profile.loads(m), x))
                 pre_shift = a[:over] + (a[over] - 1,) + a[over + 1 :]
                 w_old = induced_weights(g, j, pre_shift)
@@ -307,33 +465,11 @@ def compute_pne(
                 repair_best_response(
                     g.ranks[j], x, over, w_old, w_new, verify_input_optimal=True
                 )
+            from_r, to_r = swap.remove[0], swap.add[0]
             unit_idx = unit_home[j].index(from_r)
             unit_home[j][unit_idx] = to_r
-            moved = list(x)
-            moved[from_r] -= 1
-            moved[to_r] += 1
-            strategies[j] = tuple(moved)
-            profile = Profile(tuple(strategies))
-            inner += 1
-            total_moves += 1
-            if inner > step_cap:
-                raise InvariantError(
-                    f"improvement moves after insertion {outer} exceeded the bound "
-                    f"{step_cap}"
-                )
-            if total_moves > total_cap:
-                raise InvariantError(
-                    f"total improvement moves exceeded the bound {total_cap}"
-                )
+            profile = moved
             over = to_r
-            loads_now = profile.loads(m)
-            expected = list(settled_loads)
-            expected[over] += 1
-            if loads_now != tuple(expected):
-                raise InvariantError(
-                    f"loads {loads_now} are not the settled loads {settled_loads} "
-                    f"plus one unit on resource {over}"
-                )
             nxt = marginal_vector(g, profile, over)
             if not nxt.sorted_view < snapshot.sorted_view:
                 raise InvariantError(

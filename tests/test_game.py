@@ -259,6 +259,31 @@ def test_profile_loads_errors_equality_and_repr():
     assert repr(empty) == "Profile(strategies=())"
 
 
+
+def test_one_pass_checks_keep_their_messages_and_coercions():
+    with pytest.raises(AdmissibilityError) as err:
+        WeightedGround(((1, 2), (0, 4, 3, 1)))
+    assert str(err.value) == (
+        "weights decrease along the chain of resource 1: position 2 has 4, "
+        "position 3 has 3"
+    )
+    assert WeightedGround([[1.0, True], []]).weights == ((1, 1), ())
+    with pytest.raises(MalformedInputError) as err:
+        Profile(((1, 0), (1,)))
+    assert str(err.value) == "strategies must all have the same length"
+    with pytest.raises(MalformedInputError) as err:
+        Profile(((1, 0), (2, -1)))
+    assert str(err.value) == "strategies must be nonnegative"
+    assert Profile([[1.0, True]]).strategies == ((1, 1),)
+    f = RankFunction((0, 3))
+    g = GameInstance(("a",), (3,), (f,), (((0, 1, 2, 3),),))
+    assert induced_weights(g, 0, (0,)).weights == ((1, 3, 5),)
+    with pytest.raises(CostTableRangeError) as err:
+        induced_weights(g, 0, (1,))
+    assert str(err.value) == (
+        "player 0 cost table on 'a' covers loads up to 3, but weights need 4"
+    )
+
 def test_telescoping_identity_on_random_instances():
     rng = random.Random(6)
     for seed in range(40):

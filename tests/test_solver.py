@@ -1,8 +1,15 @@
 """The insertion solver: marginal costs, bounds, policies, and run invariants."""
 
+from unittest.mock import patch
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polynash import (
+    AdmissibilityError,
+    CostTable,
+    CostTableRangeError,
     GameInstance,
     InvariantError,
     MalformedInputError,
@@ -12,8 +19,10 @@ from polynash import (
     SwapStep,
     compute_pne,
     improving_players,
+    induced_weights,
     insertion_step_bound,
     iteration_bound,
+    local_improvement,
     marginal_vector,
     private_cost,
     verify_pne,
@@ -91,6 +100,10 @@ def test_marginal_vector_two_case_rule():
     # elsewhere: c(2)*1 - c(1)*0 = 2
     assert off.entries[0][2] == 2
     assert marginal_vector(g, Profile(((0, 0), (0, 0))), None).entries == ()
+    # units are numbered per player along ascending resource index
+    both = marginal_vector(g, Profile(((1, 2), (1, 0))), 0)
+    assert both.entries == ((0, 1, 2), (0, 2, 4), (0, 3, 4), (1, 1, 2))
+    assert both.sorted_view == (4, 4, 2, 2)
 
 
 def test_marginal_vector_sorted_view_is_nonincreasing():
@@ -99,6 +112,21 @@ def test_marginal_vector_sorted_view_is_nonincreasing():
     mv = marginal_vector(g, profile, 0)
     assert list(mv.sorted_view) == sorted(mv.sorted_view, reverse=True)
     assert len(mv.entries) == g.total_demand
+
+
+def test_marginal_vector_range_errors_keep_their_messages():
+    f = RankFunction((0, 3))
+    g = GameInstance(("a",), (2,), (f,), (((0, 1, 2),),))
+    assert marginal_vector(g, Profile(((2,),)), 0).entries == ((0, 1, 3), (0, 2, 3))
+    with pytest.raises(CostTableRangeError) as err:
+        marginal_vector(g, Profile(((3,),)), 0)
+    assert str(err.value) == "load 3 outside cost table of length 3"
+    with pytest.raises(CostTableRangeError) as err:
+        marginal_vector(g, Profile(((2,),)))
+    assert str(err.value) == (
+        "player 0 cost table on resource 0 covers loads up to 2, marginal "
+        "evaluation needs 3"
+    )
 
 
 def test_iteration_bound_examples():
@@ -281,13 +309,13 @@ def test_mover_search_tests_holders_in_index_order_and_stops_at_the_first(
         ("a", "b"), (1, 1, 1, 1), ranks, (stay, crowd_averse, crowd_averse, late)
     )
     tested = []
-    real = solver.local_improvement
+    real = solver._SettleState.exchange
 
-    def recording(f, counts, w):
-        tested.append(next(i for i, rank in enumerate(ranks) if rank is f))
-        return real(f, counts, w)
+    def recording(self, i, x, loads):
+        tested.append(i)
+        return real(self, i, x, loads)
 
-    monkeypatch.setattr(solver, "local_improvement", recording)
+    monkeypatch.setattr(solver._SettleState, "exchange", recording)
     profile, trace = compute_pne(g)
     # insertions 1-3 test the holders of a; after insertion 4 the search
     # stops at player 1 without testing 2 or 3, and after the move only
@@ -333,12 +361,195 @@ def test_a_move_off_another_resource_breaks_an_always_on_invariant(monkeypatch):
         (f, f),
         (((0, 1, 10), (0, 3, 3)), ((0, 1, 2), (0, 9, 9))),
     )
-    real = solver.local_improvement
+    real = solver._SettleState.exchange
 
-    def off_b(f, counts, w):
-        swap = real(f, counts, w)
+    def off_b(self, i, x, loads):
+        swap = real(self, i, x, loads)
         return swap and SwapStep(remove=(1, 1), add=(0, 2), improvement=1)
 
-    monkeypatch.setattr(solver, "local_improvement", off_b)
+    monkeypatch.setattr(solver._SettleState, "exchange", off_b)
     with pytest.raises(InvariantError, match="move leaves resource 1, expected"):
         compute_pne(g)
+
+
+def _reference_move(g, p, over):
+    """First improvable player of the full locality scan, with its fresh exchange."""
+    reference = improving_players(g, p, over, debug=True)
+    if not reference:
+        return None, None
+    k = reference[0]
+    x = p.strategies[k]
+    a = tuple(load - own for load, own in zip(p.loads(g.m), x))
+    return k, local_improvement(g.ranks[k], x, induced_weights(g, k, a))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    max_demand=st.integers(1, 3),
+    family=st.sampled_from(("convex_nondecreasing", "truncated_ssc")),
+    selection=st.sampled_from(("min_index", "round_robin", "seeded_random")),
+)
+def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
+    seed, n, m, max_demand, family, selection
+):
+    g = gen_random(seed, n, m, max_demand, family)
+    searches, states = [], []
+    real = solver._SettleState.first_move
+
+    def recording(self, p, over):
+        found = real(self, p, over)
+        searches.append((p, over, found))
+        states.append(self)
+        return found
+
+    with patch.object(solver._SettleState, "first_move", recording):
+        compute_pne(g, SolverPolicy(selection, seed=seed))
+    assert searches and all(state is states[0] for state in states)
+    for p, over, found in searches:
+        assert found == _reference_move(g, p, over), (p, over)
+    rows = 0
+    for i, per_resource in enumerate(states[0]._rows):
+        for r, memo in enumerate(per_resource):
+            for a, row in memo.items():
+                loads = tuple(a if s == r else 0 for s in range(g.m))
+                assert row == induced_weights(g, i, loads).weights[r]
+                rows += 1
+    assert rows > 0
+
+
+def test_a_solve_builds_each_weight_row_once_and_a_tight_set_pass_per_new_x(
+    monkeypatch,
+):
+    # every weight row is built once per (player, resource, opponent load);
+    # a tight-set pass runs only when the player's x differs from the x of
+    # its previous pass
+    looked_up, passes, built = [], [], []
+    real_rows, real_tight = solver._SettleState.rows, solver._SettleState.tight
+    real_pass, real_row = solver.tight_sets, solver._weight_row
+
+    def rows(self, i, a):
+        a = tuple(a)
+        looked_up.extend((i, r, load) for r, load in enumerate(a))
+        return real_rows(self, i, a)
+
+    def tight(self, i, x):
+        passes.append(("lookup", i, x))
+        return real_tight(self, i, x)
+
+    def tight_pass(f, x):
+        passes.append(("pass", x))
+        return real_pass(f, x)
+
+    def weight_row(g, i, r, a, length):
+        built.append((i, r, a))
+        return real_row(g, i, r, a, length)
+
+    monkeypatch.setattr(solver._SettleState, "rows", rows)
+    monkeypatch.setattr(solver._SettleState, "tight", tight)
+    monkeypatch.setattr(solver, "tight_sets", tight_pass)
+    monkeypatch.setattr(solver, "_weight_row", weight_row)
+    reused_rows = reused_passes = 0
+    for seed in range(40):
+        g = gen_random(seed, 4, 3, 3)
+        looked_up.clear(), passes.clear(), built.clear()
+        compute_pne(g)
+        assert sorted(built) == sorted(set(looked_up))
+        reused_rows += len(looked_up) - len(built)
+        last = {}
+        expected = []
+        for kind, *rest in passes:
+            if kind == "lookup":
+                i, x = rest
+                if last.get(i) != x:
+                    expected += [("lookup", i, x), ("pass", x)]
+                    last[i] = x
+                else:
+                    expected.append(("lookup", i, x))
+                    reused_passes += 1
+        assert passes == expected
+    assert reused_rows > 0 and reused_passes > 0
+
+
+def test_the_debug_solve_compares_the_settle_search_with_the_reference_scan(
+    monkeypatch,
+):
+    # the game of test_arrival_displaces_a_settled_player_in_one_move, whose
+    # one move the crippled search misses
+    f = RankFunction((0, 1, 1, 1))
+    g = GameInstance(
+        ("a", "b"),
+        (1, 1),
+        (f, f),
+        (((0, 1, 10), (0, 3, 3)), ((0, 1, 2), (0, 9, 9))),
+    )
+    monkeypatch.setattr(
+        solver._SettleState, "first_move", lambda self, p, over: (None, None)
+    )
+    compute_pne(g)  # without the comparison the missed move goes unnoticed
+    with pytest.raises(InvariantError, match="settle search found"):
+        compute_pne(g, SolverPolicy(debug_assertions=True))
+
+
+def _unvalidated_twin(g, costs):
+    """``g`` with its cost tables replaced, bypassing instance validation."""
+    object.__setattr__(g, "costs", tuple(tuple(map(CostTable, row)) for row in costs))
+    return g
+
+
+def test_settle_state_rows_raise_the_induced_weights_errors():
+    f = RankFunction((0, 3))
+    decreasing = _unvalidated_twin(
+        GameInstance(("a",), (3,), (f,), (((0, 1, 2, 3),),)), (((0, 0, 10, 10),),)
+    )
+    short = _unvalidated_twin(
+        GameInstance(("a",), (3,), (f,), (((0, 1, 2, 3),),)), (((0, 0, 10),),)
+    )
+    for g, error in ((decreasing, AdmissibilityError), (short, CostTableRangeError)):
+        with pytest.raises(error) as fresh:
+            induced_weights(g, 0, (0,))
+        with pytest.raises(error) as memoised:
+            solver._SettleState(g).rows(0, (0,))
+        assert str(memoised.value) == str(fresh.value)
+    assert str(fresh.value) == (
+        "player 0 cost table on 'a' covers loads up to 2, but weights need 3"
+    )
+
+
+def test_check_move_names_each_broken_invariant():
+    p = Profile(((1, 0), (1, 0)))  # player 1's unit is the extra one on a
+    off_a = SwapStep(remove=(0, 1), add=(1, 1), improvement=1)
+    off_b = SwapStep(remove=(1, 1), add=(0, 2), improvement=1)
+    caps = dict(step_cap=5, total_cap=9)
+    after = solver._check_move(p, 1, off_a, 0, (1, 0), 2, 1, 1, **caps)
+    assert after == Profile(((1, 0), (0, 1)))
+    broken = [
+        # the mover owns the only unit on a
+        (
+            (Profile(((1, 0), (0, 0))), 0, off_a, 0, (0, 0), 1, 1, 1),
+            "the extra unit on resource 0 belongs to the mover 0 itself; "
+            "strategies=[(1, 0), (0, 0)]",
+        ),
+        (
+            (Profile(((1, 1), (1, 0))), 0, off_b, 0, (1, 1), 1, 1, 1),
+            "improvement move leaves resource 1, expected the overloaded resource 0",
+        ),
+        (
+            (p, 1, off_a, 0, (1, 0), 2, 6, 6),
+            "improvement moves after insertion 2 exceeded the bound 5",
+        ),
+        (
+            (p, 1, off_a, 0, (1, 0), 2, 1, 10),
+            "total improvement moves exceeded the bound 9",
+        ),
+        (
+            (p, 1, off_a, 0, (0, 0), 2, 1, 1),
+            "loads (1, 1) are not the settled loads (0, 0) plus one unit on resource 1",
+        ),
+    ]
+    for args, message in broken:
+        with pytest.raises(InvariantError) as err:
+            solver._check_move(*args, **caps)
+        assert str(err.value) == message
