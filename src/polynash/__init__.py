@@ -76,7 +76,6 @@ from .serialize import (
     write_trace,
 )
 from .solver import (
-    MarginalVector,
     SolverPolicy,
     Trace,
     TraceEvent,
@@ -102,7 +101,6 @@ __all__ = [
     "InfeasibleTruncationError",
     "InvariantError",
     "MalformedInputError",
-    "MarginalVector",
     "MatroidSpec",
     "ParseError",
     "Profile",

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .generators import (
     MatroidSpec,
+    _random_walk_table,
     gen_matroid_game,
     gen_random,
     gen_singleton,
@@ -291,10 +292,7 @@ def _cmd_gen(args) -> int:
                 if family == "convex_nondecreasing":
                     row.append(random_convex_table(rng, total + 1).values)
                 else:
-                    values = [rng.randint(0, 3)]
-                    for _ in range(total):
-                        values.append(values[-1] + rng.randint(0, 3))
-                    row.append(tuple(values))
+                    row.append(_random_walk_table(rng, total + 1).values)
             costs.append(row)
         g = gen_matroid_game(specs, costs, resource_names=names)
     _write(args.output, write_instance(g))

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 from .errors import GenerationError, InvariantError, MalformedInputError
 from .game import CostTable, GameInstance, find_ssc_violation
 from .rank import MAX_RESOURCES as MAX_TABLE_RESOURCES
-from .rank import RankFunction, validate_rank
+from .rank import RankFunction, _local_differences_ok, validate_rank
 
 __all__ = [
     "MatroidSpec",
@@ -272,7 +272,7 @@ def random_rank(rng: random.Random, m: int, max_chain: int = 3) -> RankFunction:
         if nudged[mask] < 0:
             continue
         trial = RankFunction(tuple(nudged))
-        if trial.rank_of_all >= 1 and validate_rank(trial).ok:
+        if trial.rank_of_all >= 1 and _local_differences_ok(trial.values, trial.m):
             f = trial
     assert validate_rank(f).ok
     return f
@@ -296,6 +296,14 @@ def random_convex_table(rng: random.Random, length: int) -> CostTable:
     return CostTable(tuple(out))
 
 
+def _random_walk_table(rng: random.Random, length: int) -> CostTable:
+    """Nondecreasing table: a start in [0, 3], then steps in [0, 3]."""
+    values = [rng.randint(0, 3)]
+    for _ in range(length - 1):
+        values.append(values[-1] + rng.randint(0, 3))
+    return CostTable(tuple(values))
+
+
 def _random_ssc_table(
     rng: random.Random, length: int, u: int, budget: int = RETRY_BUDGET
 ) -> CostTable:
@@ -309,10 +317,7 @@ def _random_ssc_table(
         if rng.random() < 0.5:
             candidate = random_convex_table(rng, length)
         else:
-            values = [rng.randint(0, 3)]
-            for _ in range(length - 1):
-                values.append(values[-1] + rng.randint(0, 3))
-            candidate = CostTable(tuple(values))
+            candidate = _random_walk_table(rng, length)
         if find_ssc_violation(candidate.values, u) is None:
             return candidate
     raise GenerationError(

@@ -13,7 +13,7 @@ import json
 from typing import Sequence
 
 from .errors import InvariantError, ParseError
-from .game import CostTable, GameInstance, Profile
+from .game import CostTable, GameInstance, Profile, private_cost
 from .rank import MAX_RESOURCES, RankFunction
 from .solver import (
     EVENT_DEMAND_INCREASE,
@@ -196,8 +196,6 @@ def write_instance(g: GameInstance) -> bytes:
 
 
 def write_profile(g: GameInstance, p: Profile) -> bytes:
-    from .game import private_cost  # avoids a cycle at import time
-
     loads = p.loads(g.m)
     doc = {
         "format_version": FORMAT_VERSION,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter, sub
+from operator import sub
 
 from .bestresponse import (
     SwapStep,
@@ -33,7 +33,6 @@ from .game import GameInstance, Profile, _weight_row, induced_weights
 from .rank import TightSets, tight_sets
 
 __all__ = [
-    "MarginalVector",
     "SolverPolicy",
     "Trace",
     "TraceEvent",
@@ -59,11 +58,12 @@ class SolverPolicy:
     ``min_index`` (default) inserts a player's whole demand before the next
     player starts; ``round_robin`` deals units out cyclically;
     ``seeded_random`` draws the next player from a seeded generator.
-    ``debug_assertions`` adds the expensive checks: every player is tested at
-    every state from fresh weights, each improvable one required to hold a
-    unit on the overloaded resource, the solve's memoised mover search must
-    pick the first of them with the same exchange, and each move is
-    re-derived through :func:`repair_best_response`, which confirms by
+    ``debug_assertions`` adds the expensive checks, once per state: every
+    player with a unit is tested from fresh weights by
+    :func:`improving_players`, each improvable one required to hold a unit on
+    the overloaded resource; the solve's memoised mover search must pick the
+    first of them with the same exchange; and when it finds a move, the move
+    is re-derived through :func:`repair_best_response`, which confirms by
     enumeration that the mover was optimal one unit earlier.
     """
 
@@ -77,22 +77,6 @@ class SolverPolicy:
                 f"unknown player selection {self.player_selection!r}; "
                 f"expected one of {PLAYER_SELECTION_MODES}"
             )
-
-
-@dataclass(frozen=True)
-class MarginalVector:
-    """Per-unit marginal costs of a profile, with the overloaded resource designated.
-
-    ``entries`` holds (player, unit index, value) triples, units numbered
-    from 1 along ascending resource index; all units one player keeps on one
-    resource share the same value. ``sorted_view`` is the values in
-    non-increasing order -- the quantity that must shrink lexicographically
-    across improvement moves.
-    """
-
-    entries: tuple[tuple[int, int, int], ...]
-    overloaded: int | None
-    sorted_view: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -127,19 +111,20 @@ class Trace:
 
 def marginal_vector(
     g: GameInstance, p: Profile, overloaded: int | None = None
-) -> MarginalVector:
-    """Marginal cost of every placed unit under the two-case rule.
+) -> tuple[int, ...]:
+    """Marginal costs of every placed unit under the two-case rule, non-increasing.
 
     Units on the overloaded resource are priced as the saving of removing
     one own unit at the current load; units elsewhere as the saving of
-    removing one own unit after the load there grows by one.
+    removing one own unit after the load there grows by one. All units one
+    player keeps on one resource share a value. The sorted tuple is the
+    quantity that must shrink lexicographically across improvement moves.
     """
     if overloaded is not None and not 0 <= overloaded < g.m:
         raise MalformedInputError(f"resource index {overloaded} out of range")
     loads = p.loads(g.m)
-    entries: list[tuple[int, int, int]] = []
+    marginals: list[int] = []
     for i, strategy in enumerate(p.strategies):
-        unit = 1
         for r, own in enumerate(strategy):
             if own == 0:
                 continue
@@ -158,10 +143,8 @@ def marginal_vector(
                         f"{len(values) - 1}, marginal evaluation needs {load + 1}"
                     )
                 delta = values[load + 1] * own - values[load] * (own - 1)
-            entries += zip(repeat(i, own), range(unit, unit + own), repeat(delta, own))
-            unit += own
-    sorted_view = tuple(sorted(map(itemgetter(2), entries), reverse=True))
-    return MarginalVector(tuple(entries), overloaded, sorted_view)
+            marginals += repeat(delta, own)
+    return tuple(sorted(marginals, reverse=True))
 
 
 def iteration_bound(g: GameInstance) -> int:
@@ -186,35 +169,32 @@ def insertion_step_bound(g: GameInstance) -> int:
 
 
 def improving_players(
-    g: GameInstance, p: Profile, overloaded: int | None = None, *, debug: bool = False
+    g: GameInstance, p: Profile, overloaded: int | None = None
 ) -> list[int]:
     """Players whose strategy is not currently a best response, ascending index.
 
-    Without ``overloaded`` every player is tested. With it, ``p`` must be a
-    profile in which every player was a best response before one more unit
-    landed on ``overloaded``: only players keeping a unit there can have
-    become improvable (the locality lemma), so only they are tested. With
-    ``debug`` set, every player is tested anyway, and each improvable player
-    is asserted to keep at least one unit on the overloaded resource.
+    Every player with a unit is tested from fresh weights. With
+    ``overloaded``, ``p`` must be a profile in which every player was a best
+    response before one more unit landed on ``overloaded``: the locality
+    lemma then says only players keeping a unit there can have become
+    improvable, and an improvable player without one raises InvariantError.
     """
     if overloaded is not None and not 0 <= overloaded < g.m:
         raise MalformedInputError(f"resource index {overloaded} out of range")
-    scan = None if debug else overloaded
     loads = p.loads(g.m)
     out = []
     for i, x in enumerate(p.strategies):
-        if (sum(x) if scan is None else x[scan]) == 0:
+        if not any(x):
             continue
         w = induced_weights(g, i, tuple(map(sub, loads, x)))
-        if local_improvement(g.ranks[i], x, w) is not None:
-            out.append(i)
-    if debug and overloaded is not None:
-        for i in out:
-            if p.strategies[i][overloaded] == 0:
-                raise InvariantError(
-                    f"player {i} can improve without using the overloaded resource "
-                    f"{overloaded}; strategies={p.strategies} loads={p.loads(g.m)}"
-                )
+        if local_improvement(g.ranks[i], x, w) is None:
+            continue
+        if overloaded is not None and x[overloaded] == 0:
+            raise InvariantError(
+                f"player {i} can improve without using the overloaded resource "
+                f"{overloaded}; strategies={p.strategies} loads={loads}"
+            )
+        out.append(i)
     return out
 
 
@@ -288,25 +268,33 @@ class _SettleState:
         return None, None
 
 
-def _check_against_reference(
+def _check_state(
     g: GameInstance, p: Profile, over: int, found: tuple[int | None, SwapStep | None]
 ) -> None:
-    """Debug check: the settle search agrees with the fresh reference scan.
+    """Debug check of one state: the settle search against the reference scan.
 
     The reference is the first improvable player of the full locality scan
-    together with its fresh :func:`local_improvement` exchange.
+    together with its fresh :func:`local_improvement` exchange. When it moves,
+    the move is re-derived through :func:`repair_best_response`: the weights
+    rose only on ``over``, and the mover's x was optimal before that.
     """
-    reference = improving_players(g, p, over, debug=True)
+    reference = improving_players(g, p, over)
     expected: tuple[int | None, SwapStep | None] = (None, None)
     if reference:
         k = reference[0]
         x = p.strategies[k]
-        w = induced_weights(g, k, tuple(map(sub, p.loads(g.m), x)))
+        a = tuple(map(sub, p.loads(g.m), x))
+        w = induced_weights(g, k, a)
         expected = (k, local_improvement(g.ranks[k], x, w))
     if found != expected:
         raise InvariantError(
             f"settle search found (player, swap) {found}, the reference scan "
             f"{expected}; strategies={list(p.strategies)} overloaded={over}"
+        )
+    if reference:
+        pre_shift = induced_weights(g, k, a[:over] + (a[over] - 1,) + a[over + 1 :])
+        repair_best_response(
+            g.ranks[k], x, over, pre_shift, w, verify_input_optimal=True
         )
 
 
@@ -366,20 +354,16 @@ def _check_move(
 def _pick_player(
     policy: SolverPolicy,
     demands: tuple[int, ...],
-    placed: list[int],
+    unit_home: list[list[int]],
     rng: random.Random,
     cursor: int,
 ) -> tuple[int, int]:
-    eligible = [i for i in range(len(demands)) if placed[i] < demands[i]]
+    eligible = [i for i, d in enumerate(demands) if len(unit_home[i]) < d]
     if policy.player_selection == "min_index":
         return eligible[0], cursor
     if policy.player_selection == "round_robin":
-        n = len(demands)
-        for offset in range(n):
-            cand = (cursor + offset) % n
-            if placed[cand] < demands[cand]:
-                return cand, cand + 1
-        raise AssertionError("unreachable: eligible was non-empty")
+        i = min(eligible, key=lambda k: (k - cursor) % len(demands))
+        return i, i + 1
     return rng.choice(eligible), cursor
 
 
@@ -394,7 +378,6 @@ def compute_pne(
     """
     policy = policy or SolverPolicy()
     n, m = g.n, g.m
-    placed = [0] * n
     unit_home: list[list[int]] = [[] for _ in range(n)]
     events: list[TraceEvent] = []
     rng = random.Random(0 if policy.seed is None else policy.seed)
@@ -408,17 +391,15 @@ def compute_pne(
     profile = Profile(((0,) * m,) * n)
 
     for outer in range(1, g.total_demand + 1):
-        i, cursor = _pick_player(policy, g.demands, placed, rng, cursor)
-        placed[i] += 1
+        i, cursor = _pick_player(policy, g.demands, unit_home, rng, cursor)
         settled_loads = profile.loads(m)
         old = profile.strategies[i]
         r0 = settle.extend(i, old, settled_loads)
         new = old[:r0] + (old[r0] + 1,) + old[r0 + 1 :]
         profile = Profile(profile.strategies[:i] + (new,) + profile.strategies[i + 1 :])
         unit_home[i].append(r0)
-        events.append(
-            TraceEvent(EVENT_DEMAND_INCREASE, outer, 0, player=i, unit=placed[i])
-        )
+        unit = len(unit_home[i])
+        events.append(TraceEvent(EVENT_DEMAND_INCREASE, outer, 0, player=i, unit=unit))
         over = r0
         snapshot = marginal_vector(g, profile, over)
         events.append(
@@ -427,10 +408,10 @@ def compute_pne(
                 outer,
                 0,
                 player=i,
-                unit=placed[i],
+                unit=unit,
                 to_resource=r0,
                 overloaded=over,
-                marginal_sorted=snapshot.sorted_view,
+                marginal_sorted=snapshot,
             )
         )
         inner = 0
@@ -438,7 +419,7 @@ def compute_pne(
             # the first improvable holder moves by the exchange that shows it
             j, swap = settle.first_move(profile, over)
             if policy.debug_assertions:
-                _check_against_reference(g, profile, over, (j, swap))
+                _check_state(g, profile, over, (j, swap))
             if swap is None:
                 break
             inner += 1
@@ -455,26 +436,16 @@ def compute_pne(
                 step_cap,
                 total_cap,
             )
-            if policy.debug_assertions:
-                # the weights rose only on `over`; x was optimal before that
-                x = profile.strategies[j]
-                a = tuple(map(sub, profile.loads(m), x))
-                pre_shift = a[:over] + (a[over] - 1,) + a[over + 1 :]
-                w_old = induced_weights(g, j, pre_shift)
-                w_new = induced_weights(g, j, a)
-                repair_best_response(
-                    g.ranks[j], x, over, w_old, w_new, verify_input_optimal=True
-                )
             from_r, to_r = swap.remove[0], swap.add[0]
             unit_idx = unit_home[j].index(from_r)
             unit_home[j][unit_idx] = to_r
             profile = moved
             over = to_r
             nxt = marginal_vector(g, profile, over)
-            if not nxt.sorted_view < snapshot.sorted_view:
+            if not nxt < snapshot:
                 raise InvariantError(
                     "sorted marginal vector failed to strictly decrease: "
-                    f"{snapshot.sorted_view} -> {nxt.sorted_view}"
+                    f"{snapshot} -> {nxt}"
                 )
             events.append(
                 TraceEvent(
@@ -486,7 +457,7 @@ def compute_pne(
                     from_resource=from_r,
                     to_resource=to_r,
                     overloaded=over,
-                    marginal_sorted=nxt.sorted_view,
+                    marginal_sorted=nxt,
                 )
             )
             snapshot = nxt
@@ -496,7 +467,7 @@ def compute_pne(
                 outer,
                 inner,
                 overloaded=over,
-                marginal_sorted=snapshot.sorted_view,
+                marginal_sorted=snapshot,
             )
         )
     return profile, Trace(tuple(events))

@@ -1,5 +1,6 @@
 """The insertion solver: marginal costs, bounds, policies, and run invariants."""
 
+from operator import sub
 from unittest.mock import patch
 
 import pytest
@@ -18,6 +19,7 @@ from polynash import (
     SolverPolicy,
     SwapStep,
     compute_pne,
+    extend_best_response,
     improving_players,
     induced_weights,
     insertion_step_bound,
@@ -93,31 +95,29 @@ def test_marginal_vector_two_case_rule():
     g = GameInstance(("a", "b"), (2, 1), (f, f), ((linear, linear), (linear, linear)))
     # player 0 keeps two units on a, player 1 one more: load 3
     p = Profile(((2, 0), (1, 0)))
-    mv = marginal_vector(g, p, 0)
-    # on the overloaded resource: c(3)*2 - c(2)*1 = 4 for each of player 0's units
-    assert mv.entries[0][2] == 4 and mv.entries[1][2] == 4
-    off = marginal_vector(g, Profile(((1, 0), (0, 0))), 1)
+    # on the overloaded resource: c(3)*2 - c(2)*1 = 4 for each of player 0's
+    # units, c(3)*1 - c(2)*0 = 3 for player 1's
+    assert marginal_vector(g, p, 0) == (4, 4, 3)
     # elsewhere: c(2)*1 - c(1)*0 = 2
-    assert off.entries[0][2] == 2
-    assert marginal_vector(g, Profile(((0, 0), (0, 0))), None).entries == ()
-    # units are numbered per player along ascending resource index
-    both = marginal_vector(g, Profile(((1, 2), (1, 0))), 0)
-    assert both.entries == ((0, 1, 2), (0, 2, 4), (0, 3, 4), (1, 1, 2))
-    assert both.sorted_view == (4, 4, 2, 2)
+    assert marginal_vector(g, Profile(((1, 0), (0, 0))), 1) == (2,)
+    assert marginal_vector(g, Profile(((0, 0), (0, 0))), None) == ()
+    # one unit each on the overloaded a, load 2: c(2)*1 - c(1)*0 = 2; player
+    # 0's two units on b, load 2, elsewhere: c(3)*2 - c(2)*1 = 4 each
+    assert marginal_vector(g, Profile(((1, 2), (1, 0))), 0) == (4, 4, 2, 2)
 
 
-def test_marginal_vector_sorted_view_is_nonincreasing():
+def test_marginal_vector_is_nonincreasing_with_one_value_per_unit():
     g = gen_random(5, 3, 3, 2)
     profile, _ = compute_pne(g)
     mv = marginal_vector(g, profile, 0)
-    assert list(mv.sorted_view) == sorted(mv.sorted_view, reverse=True)
-    assert len(mv.entries) == g.total_demand
+    assert list(mv) == sorted(mv, reverse=True)
+    assert len(mv) == g.total_demand
 
 
 def test_marginal_vector_range_errors_keep_their_messages():
     f = RankFunction((0, 3))
     g = GameInstance(("a",), (2,), (f,), (((0, 1, 2),),))
-    assert marginal_vector(g, Profile(((2,),)), 0).entries == ((0, 1, 3), (0, 2, 3))
+    assert marginal_vector(g, Profile(((2,),)), 0) == (3, 3)
     with pytest.raises(CostTableRangeError) as err:
         marginal_vector(g, Profile(((3,),)), 0)
     assert str(err.value) == "load 3 outside cost table of length 3"
@@ -158,7 +158,7 @@ def test_improving_players_flags_the_disturbed_player():
     linear = (0, 1, 2)
     g = GameInstance(("a", "b"), (1, 1), (f, f), ((flat, flat), (linear, linear)))
     stacked = Profile(((1, 0), (1, 0)))
-    assert improving_players(g, stacked, 0, debug=True) == [1]
+    assert improving_players(g, stacked, 0) == [1]
 
 
 def test_holder_only_mover_scan_gives_the_same_bytes_as_the_full_scan():
@@ -180,17 +180,21 @@ def test_holder_only_mover_scan_gives_the_same_bytes_as_the_full_scan():
     assert moves > 0
 
 
-def test_improving_players_tests_only_holders_of_the_overloaded_resource():
+def test_improving_players_asserts_the_locality_lemma():
     f = RankFunction((0, 1, 1, 1))
     flat = (1, 1, 1)
     linear = (0, 1, 2)
     g = GameInstance(("a", "b"), (1, 1), (f, f), ((flat, flat), (linear, linear)))
     stacked = Profile(((1, 0), (1, 0)))
     assert improving_players(g, stacked, 0) == [1]
-    # only holders of the overloaded resource are tested: nobody holds b, so
-    # player 1 goes untested although it could improve
-    assert improving_players(g, stacked, 1) == []
     assert improving_players(g, stacked, None) == [1]
+    # every player is tested: nobody holds b, yet player 1 could improve
+    with pytest.raises(InvariantError) as err:
+        improving_players(g, stacked, 1)
+    assert str(err.value) == (
+        "player 1 can improve without using the overloaded resource 1; "
+        "strategies=((1, 0), (1, 0)) loads=(2, 0)"
+    )
     with pytest.raises(MalformedInputError):
         improving_players(g, stacked, 2)
 
@@ -202,6 +206,15 @@ def test_round_robin_and_seeded_random_policies_also_settle():
             policy = SolverPolicy(selection, seed=seed, debug_assertions=True)
             profile, _ = compute_pne(g, policy)
             assert verify_pne(g, profile).is_pne
+
+
+def test_round_robin_deals_units_cyclically_skipping_finished_players():
+    f = RankFunction((0, 3, 3, 3))
+    tables = tuple(tuple(range(8)) for _ in range(2))
+    g = GameInstance(("a", "b"), (1, 3, 2), (f, f, f), (tables, tables, tables))
+    _, trace = compute_pne(g, SolverPolicy("round_robin", debug_assertions=True))
+    inserted = [e.player for e in trace.events if e.kind == EVENT_DEMAND_INCREASE]
+    assert inserted == [0, 1, 2, 1, 2, 1]
 
 
 def test_policy_rejects_unknown_selection():
@@ -335,7 +348,7 @@ def test_debug_solve_scans_every_state_and_rederives_each_move(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, recording)
-    scan = ("improving_players", {"debug": True})
+    scan = ("improving_players", {})
     repair = ("repair_best_response", {"verify_input_optimal": True})
     expected = []
     for seed in range(30):
@@ -374,7 +387,7 @@ def test_a_move_off_another_resource_breaks_an_always_on_invariant(monkeypatch):
 
 def _reference_move(g, p, over):
     """First improvable player of the full locality scan, with its fresh exchange."""
-    reference = improving_players(g, p, over, debug=True)
+    reference = improving_players(g, p, over)
     if not reference:
         return None, None
     k = reference[0]
@@ -396,18 +409,35 @@ def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
     seed, n, m, max_demand, family, selection
 ):
     g = gen_random(seed, n, m, max_demand, family)
-    searches, states = [], []
-    real = solver._SettleState.first_move
+    insertions, searches, states = [], [], []
+    real_extend, real_first_move = (
+        solver._SettleState.extend,
+        solver._SettleState.first_move,
+    )
 
-    def recording(self, p, over):
-        found = real(self, p, over)
+    def extend(self, i, x, loads):
+        r = real_extend(self, i, x, loads)
+        insertions.append((i, x, loads, r))
+        states.append(self)
+        return r
+
+    def first_move(self, p, over):
+        found = real_first_move(self, p, over)
         searches.append((p, over, found))
         states.append(self)
         return found
 
-    with patch.object(solver._SettleState, "first_move", recording):
+    with (
+        patch.object(solver._SettleState, "extend", extend),
+        patch.object(solver._SettleState, "first_move", first_move),
+    ):
         compute_pne(g, SolverPolicy(selection, seed=seed))
+    assert len(insertions) == g.total_demand
     assert searches and all(state is states[0] for state in states)
+    for i, x, loads, r in insertions:
+        w = induced_weights(g, i, tuple(map(sub, loads, x)))
+        grown = x[:r] + (x[r] + 1,) + x[r + 1 :]
+        assert extend_best_response(g.ranks[i], w, x) == grown, (i, x, loads)
     for p, over, found in searches:
         assert found == _reference_move(g, p, over), (p, over)
     rows = 0
