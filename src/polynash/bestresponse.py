@@ -10,11 +10,19 @@ grows, and repaired by one swap when the weights of a single chain rise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
-from .game import GameInstance, Profile, WeightedGround, induced_weights
-from .rank import RankFunction, TightSets, enumerate_base, tight_sets
+from .game import GameInstance, Profile, WeightedGround, _weight_row, induced_weights
+from .rank import (
+    RankFunction,
+    TightSets,
+    _check_demand,
+    _checked_vector,
+    enumerate_base,
+    tight_sets,
+)
 
 __all__ = [
     "SwapStep",
@@ -72,30 +80,30 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
 def _extend_once(
     f: RankFunction, w: WeightedGround, counts: tuple[int, ...]
 ) -> tuple[int, ...]:
-    tight = tight_sets(f, counts)
-    r = _cheapest_addition(counts, w.weights, tight) if tight.feasible else None
-    if r is None:
-        raise InfeasibleTruncationError(
-            "no feasible addition exists; the demand exceeds the ground rank"
-        )
+    r = _cheapest_addition(counts, w.weights, tight_sets(f, counts))
     return counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
 
 
 def _cheapest_addition(
     counts: tuple[int, ...], rows: Sequence[Sequence[int]], tight: TightSets
-) -> int | None:
+) -> int:
     """Resource of the cheapest feasible next chain position, lowest index on ties.
 
-    ``tight`` must be the tight sets of ``counts``, which lies in the polytope;
-    None when no chain has a feasible position left within its row.
+    ``tight`` must be the tight sets of ``counts``. Raises
+    InfeasibleTruncationError when ``counts`` lies outside the polytope or no
+    chain has a feasible position left within its row.
     """
     best: tuple[int, int] | None = None  # (weight, resource)
     for r, c in enumerate(counts):
-        if c < len(rows[r]) and tight.can_add(r):
+        if tight.feasible and c < len(rows[r]) and tight.can_add(r):
             wt = rows[r][c]
             if best is None or wt < best[0]:
                 best = (wt, r)
-    return None if best is None else best[1]
+    if best is None:
+        raise InfeasibleTruncationError(
+            "no feasible addition exists; the demand exceeds the ground rank"
+        )
+    return best[1]
 
 
 def ordered_greedy(f: RankFunction, d: int, w: WeightedGround) -> tuple[int, ...]:
@@ -104,12 +112,7 @@ def ordered_greedy(f: RankFunction, d: int, w: WeightedGround) -> tuple[int, ...
     Every intermediate prefix of size k is itself minimum-weight among the
     ideals of size k. Ties go to the lowest resource index.
     """
-    if d < 0:
-        raise MalformedInputError("demand must be nonnegative")
-    if d > f.rank_of_all:
-        raise InfeasibleTruncationError(
-            f"demand {d} exceeds the rank {f.rank_of_all} of the full resource set"
-        )
+    _check_demand(f, d)
     _require_coverage(f, w, d)
     counts = (0,) * f.m
     for _ in range(d):
@@ -126,12 +129,9 @@ def extend_best_response(
     feasible chain element (lowest resource index on ties) is then optimal
     at size + 1, so the result differs in exactly one coordinate by +1.
     """
-    counts = tuple(int(v) for v in counts)
+    counts = _checked_vector(f, counts)
     d = sum(counts)
-    if d + 1 > f.rank_of_all:
-        raise InfeasibleTruncationError(
-            f"demand {d + 1} exceeds the rank {f.rank_of_all} of the full resource set"
-        )
+    _check_demand(f, d + 1)
     _require_coverage(f, w, d + 1)
     return _extend_once(f, w, counts)
 
@@ -151,11 +151,17 @@ def local_improvement(
     tight set containing s.
     """
     counts = tuple(int(v) for v in counts)
-    tight = tight_sets(f, counts)
-    if not tight.feasible:
-        raise ContractError(f"count vector {counts} lies outside the polytope")
+    tight = _tight_inside(f, counts)
     _require_coverage(f, w, sum(counts))
     return _best_exchange(counts, w.weights, tight)
+
+
+def _tight_inside(f: RankFunction, x: tuple[int, ...]) -> TightSets:
+    """Tight sets of x, which must lie in the polytope of f (ContractError otherwise)."""
+    tight = tight_sets(f, x)
+    if not tight.feasible:
+        raise ContractError(f"count vector {x} lies outside the polytope")
+    return tight
 
 
 def _best_exchange(
@@ -183,6 +189,69 @@ def _best_exchange(
                     remove=(r, c), add=(s, counts[s] + 1), improvement=improvement
                 )
     return best
+
+
+class _SettleState:
+    """What one solve has worked out about its players, kept for that solve.
+
+    Weight rows are keyed by (player, resource, opponent load) and built once,
+    from the cost table's values, with the range and nondecreasing checks of
+    :func:`~polynash.game.induced_weights`; each row has ``chain_cap``
+    positions, so it covers every chain position the player can reach. Each
+    player's last (x, tight sets) is kept, and the polytope check runs when
+    that entry is built. Insertions and the mover search read both.
+    """
+
+    def __init__(self, g: GameInstance) -> None:
+        self.g = g
+        self._caps = [[g.chain_cap(i, r) for r in range(g.m)] for i in range(g.n)]
+        self._rows: list[list[dict[int, tuple[int, ...]]]] = [
+            [{} for _ in range(g.m)] for _ in range(g.n)
+        ]
+        self._tight: list[tuple[tuple[int, ...], TightSets] | None] = [None] * g.n
+
+    def rows(self, i: int, a) -> list[tuple[int, ...]]:
+        """Player i's weight rows at opponent loads ``a``, one per resource."""
+        memo, caps = self._rows[i], self._caps[i]
+        out = []
+        for r, load in enumerate(a):
+            row = memo[r].get(load)
+            if row is None:
+                row = memo[r][load] = _weight_row(self.g, i, r, load, caps[r])
+            out.append(row)
+        return out
+
+    def tight(self, i: int, x: tuple[int, ...]) -> TightSets:
+        """Tight sets of player i's strategy x, which must lie in its polytope."""
+        kept = self._tight[i]
+        if kept is not None and kept[0] == x:
+            return kept[1]
+        tight = _tight_inside(self.g.ranks[i], x)
+        self._tight[i] = (x, tight)
+        return tight
+
+    def extend(self, i: int, x: tuple[int, ...], loads: tuple[int, ...]) -> int:
+        """Resource of player i's cheapest feasible extra unit against ``loads - x``."""
+        rows = self.rows(i, map(sub, loads, x))
+        return _cheapest_addition(x, rows, self.tight(i, x))
+
+    def exchange(
+        self, i: int, x: tuple[int, ...], loads: tuple[int, ...]
+    ) -> SwapStep | None:
+        """Player i's best improving exchange against ``loads - x``, or None."""
+        return _best_exchange(x, self.rows(i, map(sub, loads, x)), self.tight(i, x))
+
+    def first_move(
+        self, p: Profile, over: int
+    ) -> tuple[int, SwapStep] | tuple[None, None]:
+        """The first holder of ``over`` by index with an improving exchange, and it."""
+        loads = p.loads(self.g.m)
+        for i, x in enumerate(p.strategies):
+            if x[over]:
+                swap = self.exchange(i, x, loads)
+                if swap is not None:
+                    return i, swap
+        return None, None
 
 
 def _check_shift_structure(

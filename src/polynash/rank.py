@@ -223,16 +223,21 @@ def member_polytope(f: RankFunction, x: Sequence[int]) -> bool:
     return True
 
 
-def member_base(f: RankFunction, d: int, x: Sequence[int]) -> bool:
-    """True iff x lies in the polytope of f and its entries sum to exactly d."""
+def _check_demand(f: RankFunction, d: int) -> None:
+    """Raise unless 0 <= d <= f(R), the range of demands f can carry."""
     if d < 0:
         raise MalformedInputError("demand must be nonnegative")
     if d > f.rank_of_all:
         raise InfeasibleTruncationError(
             f"demand {d} exceeds the rank {f.rank_of_all} of the full resource set"
         )
+
+
+def member_base(f: RankFunction, d: int, x: Sequence[int]) -> bool:
+    """True iff x lies in the polytope of f and its entries sum to exactly d."""
+    _check_demand(f, d)
     vec = _checked_vector(f, x)
-    return sum(vec) == d and member_polytope(f, vec)
+    return sum(vec) == d and tight_sets(f, vec).feasible
 
 
 def enumerate_base(
@@ -243,12 +248,7 @@ def enumerate_base(
     Intended for desk scale; pass ``cap`` to abort once the result would
     exceed it.
     """
-    if d < 0:
-        raise MalformedInputError("demand must be nonnegative")
-    if d > f.rank_of_all:
-        raise InfeasibleTruncationError(
-            f"demand {d} exceeds the rank {f.rank_of_all} of the full resource set"
-        )
+    _check_demand(f, d)
     m = f.m
     caps = [f.singleton(r) for r in range(m)]
     out: list[tuple[int, ...]] = []
@@ -257,7 +257,7 @@ def enumerate_base(
         if r == m:
             if remaining == 0:
                 vec = tuple(prefix)
-                if member_polytope(f, vec):
+                if tight_sets(f, vec).feasible:
                     out.append(vec)
                     if cap is not None and len(out) > cap:
                         raise EnumerationTooLargeError(

@@ -70,7 +70,9 @@ def _require(condition: bool, message: str) -> None:
 def _check_version(doc: dict, what: str) -> None:
     version = doc.get("format_version")
     _require(
-        isinstance(version, int) and version == FORMAT_VERSION,
+        isinstance(version, int)
+        and not isinstance(version, bool)
+        and version == FORMAT_VERSION,
         f"{what} must carry format_version {FORMAT_VERSION}, got {version!r}",
     )
 
@@ -99,6 +101,7 @@ def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
     index = {name: r for r, name in enumerate(names)}
     table = [None] * (1 << m)
     table[0] = 0
+    keys: dict[int, str] = {}  # the key that named each subset
     for key, value in raw.items():
         _require(isinstance(key, str), f"player {player} rank keys must be strings")
         mask = 0
@@ -114,6 +117,12 @@ def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
                     f"player {player} rank key {key!r} repeats resource {part!r}",
                 )
                 mask |= bit
+        if mask in keys:
+            raise ParseError(
+                f"player {player} rank keys {keys[mask]!r} and {key!r} "
+                f"name the same subset"
+            )
+        keys[mask] = key
         table[mask] = _int_field(value, f"player {player} rank value for {key!r}")
     for mask in range(1, 1 << m):
         if table[mask] is None:
@@ -135,8 +144,11 @@ def parse_instance(data: bytes | str) -> GameInstance:
     _require(isinstance(doc, dict), "instance document must be a JSON object")
     _check_version(doc, "instance document")
     names_raw = doc.get("resources")
-    _require(isinstance(names_raw, list), "resources must be a list of names")
-    names = tuple(str(s) for s in names_raw)
+    _require(
+        isinstance(names_raw, list) and all(isinstance(s, str) for s in names_raw),
+        "resources must be a list of names",
+    )
+    names = tuple(names_raw)
     _require(len(set(names)) == len(names), "resource names must be unique")
     # checked before any rank table of 2**m entries is allocated
     _require(

@@ -15,22 +15,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
 
-from .bestresponse import (
-    SwapStep,
-    _best_exchange,
-    _cheapest_addition,
-    local_improvement,
-    repair_best_response,
-)
-from .errors import (
-    ContractError,
-    CostTableRangeError,
-    InfeasibleTruncationError,
-    InvariantError,
-    MalformedInputError,
-)
-from .game import GameInstance, Profile, _weight_row, induced_weights
-from .rank import TightSets, tight_sets
+from .bestresponse import SwapStep, _SettleState, is_best_response, repair_best_response
+from .errors import CostTableRangeError, InvariantError, MalformedInputError
+from .game import GameInstance, Profile, induced_weights
 
 __all__ = [
     "SolverPolicy",
@@ -61,10 +48,9 @@ class SolverPolicy:
     ``debug_assertions`` adds the expensive checks, once per state: every
     player with a unit is tested from fresh weights by
     :func:`improving_players`, each improvable one required to hold a unit on
-    the overloaded resource; the solve's memoised mover search must pick the
-    first of them with the same exchange; and when it finds a move, the move
-    is re-derived through :func:`repair_best_response`, which confirms by
-    enumeration that the mover was optimal one unit earlier.
+    the overloaded resource; and the solve's memoised mover search must pick
+    the first of them with the exchange :func:`repair_best_response` derives
+    for it, which confirms by enumeration that it was optimal one unit earlier.
     """
 
     player_selection: str = "min_index"
@@ -173,7 +159,7 @@ def improving_players(
 ) -> list[int]:
     """Players whose strategy is not currently a best response, ascending index.
 
-    Every player with a unit is tested from fresh weights. With
+    Every player with a unit is tested by :func:`is_best_response`. With
     ``overloaded``, ``p`` must be a profile in which every player was a best
     response before one more unit landed on ``overloaded``: the locality
     lemma then says only players keeping a unit there can have become
@@ -181,91 +167,17 @@ def improving_players(
     """
     if overloaded is not None and not 0 <= overloaded < g.m:
         raise MalformedInputError(f"resource index {overloaded} out of range")
-    loads = p.loads(g.m)
     out = []
     for i, x in enumerate(p.strategies):
-        if not any(x):
-            continue
-        w = induced_weights(g, i, tuple(map(sub, loads, x)))
-        if local_improvement(g.ranks[i], x, w) is None:
+        if is_best_response(g, p, i):
             continue
         if overloaded is not None and x[overloaded] == 0:
             raise InvariantError(
                 f"player {i} can improve without using the overloaded resource "
-                f"{overloaded}; strategies={p.strategies} loads={loads}"
+                f"{overloaded}; strategies={p.strategies} loads={p.loads(g.m)}"
             )
         out.append(i)
     return out
-
-
-class _SettleState:
-    """What one solve has worked out about its players, kept for that solve.
-
-    Weight rows are keyed by (player, resource, opponent load) and built once,
-    from the cost table's values, with the range and nondecreasing checks of
-    :func:`~polynash.game.induced_weights`; each row has ``chain_cap``
-    positions, so it covers every chain position the player can reach. Each
-    player's last (x, tight sets) is kept, and the polytope check runs when
-    that entry is built. Insertions and the mover search read both.
-    """
-
-    def __init__(self, g: GameInstance) -> None:
-        self.g = g
-        self._caps = [[g.chain_cap(i, r) for r in range(g.m)] for i in range(g.n)]
-        self._rows: list[list[dict[int, tuple[int, ...]]]] = [
-            [{} for _ in range(g.m)] for _ in range(g.n)
-        ]
-        self._tight: list[tuple[tuple[int, ...], TightSets] | None] = [None] * g.n
-
-    def rows(self, i: int, a) -> list[tuple[int, ...]]:
-        """Player i's weight rows at opponent loads ``a``, one per resource."""
-        memo, caps = self._rows[i], self._caps[i]
-        out = []
-        for r, load in enumerate(a):
-            row = memo[r].get(load)
-            if row is None:
-                row = memo[r][load] = _weight_row(self.g, i, r, load, caps[r])
-            out.append(row)
-        return out
-
-    def tight(self, i: int, x: tuple[int, ...]) -> TightSets:
-        """Tight sets of player i's strategy x, which must lie in its polytope."""
-        kept = self._tight[i]
-        if kept is not None and kept[0] == x:
-            return kept[1]
-        tight = tight_sets(self.g.ranks[i], x)
-        if not tight.feasible:
-            raise ContractError(f"count vector {x} lies outside the polytope")
-        self._tight[i] = (x, tight)
-        return tight
-
-    def extend(self, i: int, x: tuple[int, ...], loads: tuple[int, ...]) -> int:
-        """Resource of player i's cheapest feasible extra unit against ``loads - x``."""
-        rows = self.rows(i, map(sub, loads, x))
-        r = _cheapest_addition(x, rows, self.tight(i, x))
-        if r is None:
-            raise InfeasibleTruncationError(
-                "no feasible addition exists; the demand exceeds the ground rank"
-            )
-        return r
-
-    def exchange(
-        self, i: int, x: tuple[int, ...], loads: tuple[int, ...]
-    ) -> SwapStep | None:
-        """Player i's best improving exchange against ``loads - x``, or None."""
-        return _best_exchange(x, self.rows(i, map(sub, loads, x)), self.tight(i, x))
-
-    def first_move(
-        self, p: Profile, over: int
-    ) -> tuple[int, SwapStep] | tuple[None, None]:
-        """The first holder of ``over`` by index with an improving exchange, and it."""
-        loads = p.loads(self.g.m)
-        for i, x in enumerate(p.strategies):
-            if x[over]:
-                swap = self.exchange(i, x, loads)
-                if swap is not None:
-                    return i, swap
-        return None, None
 
 
 def _check_state(
@@ -274,9 +186,9 @@ def _check_state(
     """Debug check of one state: the settle search against the reference scan.
 
     The reference is the first improvable player of the full locality scan
-    together with its fresh :func:`local_improvement` exchange. When it moves,
-    the move is re-derived through :func:`repair_best_response`: the weights
-    rose only on ``over``, and the mover's x was optimal before that.
+    together with the exchange of its :func:`repair_best_response`, fresh
+    from the instance: the weights rose only on ``over``, and the repair
+    confirms by enumeration that the mover's x was optimal before that.
     """
     reference = improving_players(g, p, over)
     expected: tuple[int | None, SwapStep | None] = (None, None)
@@ -284,17 +196,16 @@ def _check_state(
         k = reference[0]
         x = p.strategies[k]
         a = tuple(map(sub, p.loads(g.m), x))
+        pre_shift = induced_weights(g, k, a[:over] + (a[over] - 1,) + a[over + 1 :])
         w = induced_weights(g, k, a)
-        expected = (k, local_improvement(g.ranks[k], x, w))
+        _, swap = repair_best_response(
+            g.ranks[k], x, over, pre_shift, w, verify_input_optimal=True
+        )
+        expected = (k, swap)
     if found != expected:
         raise InvariantError(
             f"settle search found (player, swap) {found}, the reference scan "
             f"{expected}; strategies={list(p.strategies)} overloaded={over}"
-        )
-    if reference:
-        pre_shift = induced_weights(g, k, a[:over] + (a[over] - 1,) + a[over + 1 :])
-        repair_best_response(
-            g.ranks[k], x, over, pre_shift, w, verify_input_optimal=True
         )
 
 

@@ -8,6 +8,7 @@ from polynash import (
     ContractError,
     GameInstance,
     InfeasibleTruncationError,
+    MalformedInputError,
     Profile,
     RankFunction,
     WeightedGround,
@@ -19,6 +20,7 @@ from polynash import (
     ordered_greedy,
     repair_best_response,
 )
+from polynash import solver
 from polynash.generators import gen_random
 
 from helpers import (
@@ -257,3 +259,43 @@ def test_is_best_response_rejects_strategies_outside_the_polytope():
     g = GameInstance(("a", "b"), (2,), (F_AB,), ((table, table),))
     with pytest.raises(ContractError):
         is_best_response(g, Profile(((0, 2),)), 0)
+
+
+def test_the_demand_range_messages():
+    with pytest.raises(MalformedInputError) as err:
+        ordered_greedy(F_AB, -1, W_AB)
+    assert str(err.value) == "demand must be nonnegative"
+    exceeds = "demand 3 exceeds the rank 2 of the full resource set"
+    with pytest.raises(InfeasibleTruncationError) as err:
+        ordered_greedy(F_AB, 3, W_AB)
+    assert str(err.value) == exceeds
+    with pytest.raises(InfeasibleTruncationError) as err:
+        extend_best_response(F_AB, W_AB, (1, 1))  # a full base grows to 3
+    assert str(err.value) == exceeds
+
+
+def _one_player_on(f):
+    return GameInstance(("a", "b"), (2,), (f,), (((0, 1, 2), (0, 1, 2)),))
+
+
+def test_the_outside_the_polytope_message():
+    g = _one_player_on(F_AB)
+    message = "count vector (0, 2) lies outside the polytope"  # b alone holds one
+    with pytest.raises(ContractError) as err:
+        local_improvement(F_AB, (0, 2), W_AB)
+    assert str(err.value) == message
+    with pytest.raises(ContractError) as err:
+        solver._SettleState(g).tight(0, (0, 2))
+    assert str(err.value) == message
+
+
+def test_the_no_feasible_addition_message():
+    message = "no feasible addition exists; the demand exceeds the ground rank"
+    f = RankFunction((0, 1, 2, 3))  # a alone 1, b alone 2, both 3
+    with pytest.raises(InfeasibleTruncationError) as err:
+        # demand 3 is within the rank, but (2, 0) already overfills a
+        extend_best_response(f, WeightedGround(((1,), (1, 2))), (2, 0))
+    assert str(err.value) == message
+    with pytest.raises(InfeasibleTruncationError) as err:
+        solver._SettleState(_one_player_on(F_AB)).extend(0, (1, 1), (1, 1))
+    assert str(err.value) == message

@@ -2,8 +2,11 @@
 
 import dataclasses
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polynash import (
     EnumerationTooLargeError,
@@ -13,6 +16,7 @@ from polynash import (
     enumerate_base,
     member_base,
     member_polytope,
+    random_rank,
     validate_rank,
 )
 
@@ -138,3 +142,36 @@ def test_member_base_matches_enumeration():
             if sum(x) != d:
                 continue
             assert member_base(f, d, x) == (x in listed)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda d: member_base(F_AB, d, (0, 0)), lambda d: enumerate_base(F_AB, d)],
+    ids=["member_base", "enumerate_base"],
+)
+def test_the_demand_range_messages(call):
+    with pytest.raises(MalformedInputError) as err:
+        call(-1)
+    assert str(err.value) == "demand must be nonnegative"
+    with pytest.raises(InfeasibleTruncationError) as err:
+        call(3)
+    assert str(err.value) == "demand 3 exceeds the rank 2 of the full resource set"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(rng=st.randoms(use_true_random=False), m=st.integers(1, 5), data=st.data())
+def test_member_base_and_enumerate_base_agree_with_the_member_polytope_reference(
+    rng, m, data
+):
+    f = random_rank(rng, m)
+    d = data.draw(st.integers(0, f.rank_of_all))
+    box = product(*(range(f.singleton(r) + 2) for r in range(m)))
+    same_sum = [x for x in box if sum(x) == d]
+    reference = [x for x in same_sum if member_polytope(f, x)]
+    assert enumerate_base(f, d) == reference  # product order is ascending
+    for x in same_sum:
+        assert member_base(f, d, x) == (x in reference), (f.values, d, x)
+    for x in reference:
+        for r in range(m):
+            grown = x[:r] + (x[r] + 1,) + x[r + 1 :]  # right vector, wrong sum
+            assert not member_base(f, d, grown)

@@ -53,6 +53,24 @@ def test_parse_accepts_rank_maps():
     assert g.ranks[1].values == (0, 1, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "rank, first, second",
+    [
+        ({"a": 1, "b": 1, "a,b": 2, "b,a": 1}, "a,b", "b,a"),
+        ({"a": 1, "b": 1, "b,a": 1, "a,b": 2}, "b,a", "a,b"),
+    ],
+)
+def test_parse_rejects_two_rank_keys_for_one_subset(rank, first, second):
+    # either key order used to parse, to (0, 1, 1, 1) or (0, 1, 1, 2)
+    doc = json.loads(json.dumps(TWO_PLAYER_DOC))
+    doc["players"][0]["rank"] = rank
+    with pytest.raises(ParseError) as err:
+        parse_instance(json.dumps(doc).encode())
+    assert str(err.value) == (
+        f"player 0 rank keys {first!r} and {second!r} name the same subset"
+    )
+
+
 def test_parse_rejects_incomplete_rank_maps():
     doc = json.loads(json.dumps(TWO_PLAYER_DOC))
     doc["players"][0]["rank"] = {"a": 1, "b": 1}
@@ -80,6 +98,35 @@ def test_parse_reports_syntax_positions():
 def test_parse_rejects_wrong_version():
     with pytest.raises(ParseError):
         parse_instance(_doc(format_version=2))
+
+
+def test_documents_reject_a_boolean_format_version():
+    # True == 1, but a JSON boolean is not the version number
+    message = "must carry format_version 1, got True"
+    with pytest.raises(ParseError, match=f"instance document {message}"):
+        parse_instance(_doc(format_version=True))
+    g = parse_instance(_doc())
+    profile, trace = compute_pne(g)
+    profile_doc = write_profile(g, profile).replace(
+        b'"format_version": 1', b'"format_version": true'
+    )
+    with pytest.raises(ParseError, match=f"profile document {message}"):
+        parse_profile(profile_doc, g)
+    trace_doc = write_trace(g, trace).replace(
+        b'"format_version":1', b'"format_version":true', 1
+    )
+    with pytest.raises(ParseError, match=f"trace header {message}"):
+        check_trace(trace_doc)
+
+
+@pytest.mark.parametrize("names", [[1, 2], ["a", None], [["a"], "b"]])
+def test_parse_rejects_resource_names_that_are_not_strings(names):
+    # costs keyed by str(name), which is what a str() coercion would accept
+    keyed = {str(name): [0, 1, 2] for name in names}
+    players = [{"demand": 1, "rank": [0, 1, 1, 1], "costs": keyed}]
+    with pytest.raises(ParseError) as err:
+        parse_instance(_doc(resources=names, players=players))
+    assert str(err.value) == "resources must be a list of names"
 
 
 def test_parse_rejects_infeasible_demand_naming_the_player():

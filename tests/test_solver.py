@@ -458,7 +458,7 @@ def test_a_solve_builds_each_weight_row_once_and_a_tight_set_pass_per_new_x(
     # its previous pass
     looked_up, passes, built = [], [], []
     real_rows, real_tight = solver._SettleState.rows, solver._SettleState.tight
-    real_pass, real_row = solver.tight_sets, solver._weight_row
+    real_pass, real_row = bestresponse.tight_sets, bestresponse._weight_row
 
     def rows(self, i, a):
         a = tuple(a)
@@ -479,8 +479,8 @@ def test_a_solve_builds_each_weight_row_once_and_a_tight_set_pass_per_new_x(
 
     monkeypatch.setattr(solver._SettleState, "rows", rows)
     monkeypatch.setattr(solver._SettleState, "tight", tight)
-    monkeypatch.setattr(solver, "tight_sets", tight_pass)
-    monkeypatch.setattr(solver, "_weight_row", weight_row)
+    monkeypatch.setattr(bestresponse, "tight_sets", tight_pass)
+    monkeypatch.setattr(bestresponse, "_weight_row", weight_row)
     reused_rows = reused_passes = 0
     for seed in range(40):
         g = gen_random(seed, 4, 3, 3)
