@@ -106,12 +106,20 @@ def find_ssc_violation(
     ``ab_max`` is given, to a, b <= ab_max. Returns the first violating
     (a, b, x, y) in scan order, or None.
 
-    An accepting pass decides the question in O(u * L) for a table of length
-    L: the marginal bill must be nondecreasing in a along each usage x and
-    in x at each prior load a, wherever both neighbours lie in the domain.
-    That is exact, because any quadruple is joined inside the domain by the
-    path (a, x) -> (a, y) -> (b, y). Only when the pass rejects does the
-    O(u^2 * L^2) quadruple scan run, to name the first witness.
+    An accepting pass decides the question in O(L) for a table of length L.
+    The marginal bill must be nondecreasing in a along each usage x and in x
+    at each prior load a, wherever both neighbours lie in the domain. That
+    is exact, because any quadruple is joined inside the domain by the path
+    (a, x) -> (a, y) -> (b, y). With k = a + x and d_k = c[k] - c[k-1], the
+    two unit steps are
+
+        along a:  x * d_{k+1} - (x - 1) * d_k
+        along x:  (x + 1) * d_{k+1} - (x - 1) * d_k
+
+    both linear in x, so at each k they are nonnegative over the interval of
+    usages in the domain iff they are at its two ends. Only when the pass
+    rejects does the O(u^2 * L^2) quadruple scan run, to name the first
+    witness.
     """
     values = _values_of(c)
     if _marginal_bill_monotone(values, u, ab_max):
@@ -123,20 +131,34 @@ def _marginal_bill_monotone(
     values: tuple[int, ...], u: int, ab_max: int | None
 ) -> bool:
     top = len(values) - 1
-    previous: list[int] = []
-    for x in range(1, min(u, top) + 1):
-        a_top = top - x if ab_max is None else min(top - x, ab_max)
-        bills = list(
-            map(
-                sub,
-                map(mul, values[x : x + a_top + 1], repeat(x)),
-                map(mul, values[x - 1 : x + a_top], repeat(x - 1)),
-            )
-        )
-        # the shorter row bounds where both (a, x - 1) and (a, x) exist
-        if any(map(gt, bills, bills[1:])) or any(map(gt, previous, bills)):
+    if u < 1 or top < 2:
+        return True
+    # d[k] = c[k] - c[k - 1]; both steps sit at k = a + x in [1, top - 1]
+    d = (None, *map(sub, values[1:], values[:-1]))
+    if ab_max is None:
+        # the step along a runs over usages [1, h], h = min(u, k), and the
+        # step along x, which is the step along a plus d[k+1], over part of
+        # them. So h * d[k+1] >= (h - 1) * d[k] at every k is all there is
+        # to check: at k = 1 it reads d[2] >= 0, and by induction it gives
+        # d[k+1] >= 0, the step along a at x = 1, at every k.
+        h = min(u, top - 1)
+        tops = chain(range(1, h + 1), repeat(u, top - 1 - h))
+        below = chain(range(h), repeat(u - 1, top - 1 - h))
+        return not any(map(gt, map(mul, below, d[1:-1]), map(mul, tops, d[2:])))
+    for k in range(1, min(top - 1, ab_max + u) + 1):
+        dk, dk1 = d[k], d[k + 1]
+        # along a: (a, x) -> (a + 1, x) needs a = k - x >= 0 and a + 1 <= ab_max
+        low, high = max(1, k + 1 - ab_max), min(u, k)
+        if low <= high and (
+            low * dk1 < (low - 1) * dk or high * dk1 < (high - 1) * dk
+        ):
             return False
-        previous = bills
+        # along x: (a, x) -> (a, x + 1) needs x + 1 <= u and a <= ab_max
+        low, high = max(1, k - ab_max), min(u - 1, k)
+        if low <= high and (
+            (low + 1) * dk1 < (low - 1) * dk or (high + 1) * dk1 < (high - 1) * dk
+        ):
+            return False
     return True
 
 
@@ -163,8 +185,8 @@ def check_ssc(c, horizon: int) -> bool:
 
     Requires the table to cover every quadruple up to the horizon, i.e.
     length at least 2 * horizon + 1. Runs :func:`find_ssc_violation`: an
-    O(horizon * L) accepting pass, with the quadruple scan only to name the
-    first witness of a rejected table.
+    O(L) accepting pass, with the quadruple scan only to name the first
+    witness of a rejected table.
     """
     values = _values_of(c)
     if horizon <= 0:
@@ -344,7 +366,7 @@ class GameInstance:
                         witness=("cost_length", i, r),
                     )
                 u = f.singleton(r)
-                quad = find_ssc_violation(table.values, u)
+                quad = find_ssc_violation(table, u)
                 if quad is not None:
                     a, b, x, y = quad
                     raise ValidationError(

@@ -315,7 +315,7 @@ def _random_ssc_table(
             candidate = random_convex_table(rng, length)
         else:
             candidate = _random_walk_table(rng, length)
-        if find_ssc_violation(candidate.values, u) is None:
+        if find_ssc_violation(candidate, u) is None:
             return candidate
     raise GenerationError(
         f"no load-sensitive table found in {budget} draws (length {length}, usage {u})"

@@ -10,6 +10,7 @@ line after a header line carrying the schema version.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode
 from typing import Sequence
 
 from .errors import InvariantError, ParseError
@@ -21,7 +22,6 @@ from .solver import (
     EVENT_GREEDY_EXTEND,
     EVENT_IMPROVEMENT_MOVE,
     Trace,
-    TraceEvent,
 )
 
 __all__ = [
@@ -53,13 +53,27 @@ def _decode(data: bytes | str) -> str:
         raise ParseError(f"document is not valid UTF-8: {exc}") from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; a repeated key is an error, not an override."""
+    members = dict(pairs)
+    if len(members) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"invalid JSON: object repeats the key {key!r}")
+            seen.add(key)
+    return members
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def _require(condition: bool, message: str) -> None:
@@ -208,21 +222,27 @@ def write_instance(g: GameInstance) -> bytes:
 
 
 def write_profile(g: GameInstance, p: Profile) -> bytes:
+    """The bytes of ``json.dumps(doc, indent=2)``, built from names encoded once."""
     loads = p.loads(g.m)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "players": [
-            {
-                "strategy": {
-                    name: p.strategies[i][r] for r, name in enumerate(g.resources)
-                },
-                "cost": private_cost(g, p, i),
-            }
-            for i in range(g.n)
-        ],
-        "loads": {name: loads[r] for r, name in enumerate(g.resources)},
-    }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    keys = [f"{_encode(name)}: " for name in g.resources]
+
+    def counts(values, indent: str) -> str:
+        if not keys:
+            return "{}"
+        entries = f",\n{indent}  ".join(map(str.__add__, keys, map(str, values)))
+        return f"{{\n{indent}  {entries}\n{indent}}}"
+
+    players = ",\n".join(
+        f'    {{\n      "strategy": {counts(p.strategies[i], "      ")},\n'
+        f'      "cost": {private_cost(g, p, i)}\n    }}'
+        for i in range(g.n)
+    )
+    if players:
+        players = f"[\n{players}\n  ]"
+    return (
+        f'{{\n  "format_version": {FORMAT_VERSION},\n  "players": {players or "[]"},\n'
+        f'  "loads": {counts(loads, "  ")}\n}}\n'
+    ).encode("utf-8")
 
 
 def parse_profile(data: bytes | str, g: GameInstance) -> Profile:
@@ -259,23 +279,6 @@ def parse_profile(data: bytes | str, g: GameInstance) -> Profile:
     return profile
 
 
-def _event_record(g: GameInstance, e: TraceEvent) -> dict:
-    def name(r: int | None) -> str | None:
-        return None if r is None else g.resources[r]
-
-    return {
-        "kind": e.kind,
-        "outer": e.outer,
-        "inner": e.inner,
-        "player": e.player,
-        "unit": e.unit,
-        "from": name(e.from_resource),
-        "to": name(e.to_resource),
-        "overloaded": name(e.overloaded),
-        "marginal": list(e.marginal_sorted),
-    }
-
-
 def write_trace(g: GameInstance, trace: Trace) -> bytes:
     header = {
         "kind": "header",
@@ -283,9 +286,25 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
         "resources": list(g.resources),
         "players": g.n,
     }
-    encode = json.JSONEncoder(separators=(",", ":")).encode
-    lines = [encode(header)]
-    lines.extend(encode(_event_record(g, e)) for e in trace.events)
+    lines = [json.dumps(header, separators=(",", ":"))]
+    # each event line in its fixed key order, from fragments encoded once
+    kinds = {kind: _encode(kind) for kind in _EVENT_KINDS}
+    names = tuple(map(_encode, g.resources))
+    marginal, joined = (), ""
+    for e in trace.events:
+        if e.marginal_sorted is not marginal:
+            marginal = e.marginal_sorted
+            joined = ",".join(map(str, marginal))
+        lines.append(
+            f'{{"kind":{kinds.get(e.kind) or _encode(e.kind)},'
+            f'"outer":{e.outer},"inner":{e.inner},'
+            f'"player":{"null" if e.player is None else e.player},'
+            f'"unit":{"null" if e.unit is None else e.unit},'
+            f'"from":{"null" if e.from_resource is None else names[e.from_resource]},'
+            f'"to":{"null" if e.to_resource is None else names[e.to_resource]},'
+            f'"overloaded":{"null" if e.overloaded is None else names[e.overloaded]},'
+            f'"marginal":[{joined}]}}'
+        )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

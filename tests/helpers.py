@@ -7,6 +7,7 @@ without calling the library code paths it is used to check.
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import product
 
@@ -93,6 +94,31 @@ def ssc_ok(values, u, ab_max=None) -> bool:
     return True
 
 
+def neighbour_bills_monotone(values, u, ab_max=None) -> bool:
+    """Marginal bills nondecreasing between every pair of neighbours in the domain.
+
+    The O(u * L) form of the load-sensitivity check: (a, x) and its
+    neighbours (a + 1, x) and (a, x + 1), each kept only when it lies in the
+    domain of :func:`ssc_ok`'s quadruples.
+    """
+    top = len(values) - 1
+
+    def inside(a, x):
+        return 1 <= x <= u and a + x <= top and (ab_max is None or a <= ab_max)
+
+    def bill(a, x):
+        return values[a + x] * x - values[a + x - 1] * (x - 1)
+
+    for x in range(1, u + 1):
+        for a in range(top + 1):
+            if not inside(a, x):
+                continue
+            for b, y in ((a + 1, x), (a, x + 1)):
+                if inside(b, y) and bill(a, x) > bill(b, y):
+                    return False
+    return True
+
+
 def bounded_random_rank(rng: random.Random, m: int, full_rank_cap: int, max_chain: int = 3):
     """Seeded valid rank function with full rank in [1, full_rank_cap]."""
     from polynash.generators import random_rank
@@ -110,3 +136,55 @@ def shared_pool_instance():
     f = RankFunction((0, 1, 1, 1))
     tables = ((0, 1, 2), (0, 1, 2))
     return GameInstance(("a", "b"), (1, 1), (f, f), (tables, tables))
+
+
+def reference_write_profile(g, p) -> bytes:
+    """Profile document bytes from a dict and ``json.dumps(indent=2)``."""
+    from polynash.game import private_cost
+
+    loads = p.loads(g.m)
+    doc = {
+        "format_version": 1,
+        "players": [
+            {
+                "strategy": {
+                    name: p.strategies[i][r] for r, name in enumerate(g.resources)
+                },
+                "cost": private_cost(g, p, i),
+            }
+            for i in range(g.n)
+        ],
+        "loads": {name: loads[r] for r, name in enumerate(g.resources)},
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def _reference_event_record(g, e) -> dict:
+    def name(r):
+        return None if r is None else g.resources[r]
+
+    return {
+        "kind": e.kind,
+        "outer": e.outer,
+        "inner": e.inner,
+        "player": e.player,
+        "unit": e.unit,
+        "from": name(e.from_resource),
+        "to": name(e.to_resource),
+        "overloaded": name(e.overloaded),
+        "marginal": list(e.marginal_sorted),
+    }
+
+
+def reference_write_trace(g, trace) -> bytes:
+    """Trace document bytes from one dict per line and a compact ``json`` encoder."""
+    header = {
+        "kind": "header",
+        "format_version": 1,
+        "resources": list(g.resources),
+        "players": g.n,
+    }
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = [encode(header)]
+    lines.extend(encode(_reference_event_record(g, e)) for e in trace.events)
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -174,6 +174,22 @@ def test_missing_file_is_invalid(tmp_path):
     assert main(["check", "--instance", str(tmp_path / "nope.json")]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"demand": 1', '"demand": ' + "1" * 5000),
+        ('"costs": {"a": [0, 1, 2],', '"costs": {"a": [0, 1, 2], "a": [0, 5, 9],'),
+    ],
+    ids=["5000-digit-integer", "repeated-key"],
+)
+def test_solve_rejects_hostile_documents_as_invalid_input(tmp_path, capsys, old, new):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(TWO_PLAYER_DOC).replace(old, new, 1))
+    rc = main(["solve", "--instance", str(path), "--output", str(tmp_path / "p.json")])
+    assert rc == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("invalid input: invalid JSON: ")
+
+
 def test_gen_random_then_solve(tmp_path):
     inst = tmp_path / "g.json"
     out = tmp_path / "p.json"

@@ -3,11 +3,15 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polynash import (
+    GameInstance,
     InvariantError,
     ParseError,
     Profile,
+    RankFunction,
     SolverPolicy,
     ValidationError,
     check_trace,
@@ -20,6 +24,23 @@ from polynash import (
     write_trace,
 )
 from polynash.rank import MAX_RESOURCES
+from polynash.solver import (
+    EVENT_DEMAND_INCREASE,
+    EVENT_EQUILIBRIUM,
+    EVENT_GREEDY_EXTEND,
+    EVENT_IMPROVEMENT_MOVE,
+    Trace,
+    TraceEvent,
+)
+
+from helpers import reference_write_profile, reference_write_trace
+
+EVENT_KINDS = (
+    EVENT_DEMAND_INCREASE,
+    EVENT_GREEDY_EXTEND,
+    EVENT_IMPROVEMENT_MOVE,
+    EVENT_EQUILIBRIUM,
+)
 
 TWO_PLAYER_DOC = {
     "format_version": 1,
@@ -93,6 +114,45 @@ def test_parse_reports_syntax_positions():
     with pytest.raises(ParseError) as err:
         parse_instance(b'{"format_version": 1,\n  "resources": [}')
     assert "line 2" in str(err.value)
+
+
+def test_instance_documents_reject_a_repeated_key():
+    # json.loads would keep the second table and accept the document
+    text = _doc().decode().replace(
+        '"costs": {"a": [0, 1, 2],', '"costs": {"a": [0, 1, 2], "a": [0, 5, 9],', 1
+    )
+    assert text.count('"a": [0, 5, 9]') == 1
+    with pytest.raises(ParseError, match="object repeats the key 'a'"):
+        parse_instance(text)
+
+
+def test_profile_documents_reject_a_repeated_key():
+    g = parse_instance(_doc())
+    text = json.dumps(
+        {"format_version": 1, "players": [{"strategy": {"a": 1}}, {"strategy": {"b": 1}}]}
+    ).replace('{"a": 1}', '{"a": 1, "a": 0}')
+    with pytest.raises(ParseError, match="object repeats the key 'a'"):
+        parse_profile(text, g)
+
+
+def test_trace_documents_reject_a_repeated_key():
+    g = parse_instance(_doc())
+    _, trace = compute_pne(g)
+    text = write_trace(g, trace).decode()
+    assert check_trace(text) == (2, 0)
+    tampered = text.replace(
+        '{"kind":"demand_increase",', '{"kind":"improvement_move","kind":"demand_increase",', 1
+    )
+    with pytest.raises(ParseError, match="object repeats the key 'kind'"):
+        check_trace(tampered)
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error():
+    doc = json.loads(_doc())
+    doc["players"][0]["demand"] = 0
+    text = json.dumps(doc).replace('"demand": 0', '"demand": ' + "9" * 5000, 1)
+    with pytest.raises(ParseError, match="invalid JSON: .*4300 digits"):
+        parse_instance(text)
 
 
 def test_parse_rejects_wrong_version():
@@ -205,8 +265,6 @@ def test_profile_documents_round_trip_and_validate():
 
 
 def test_profile_documents_for_the_empty_game():
-    from polynash import GameInstance
-
     g = GameInstance((), (), (), ())
     doc = json.loads(write_profile(g, Profile(())))
     assert doc["players"] == [] and doc["loads"] == {}
@@ -276,3 +334,90 @@ def test_single_player_trace_has_no_improvement_moves():
     data = write_trace(g, trace).decode()
     kinds = {json.loads(line)["kind"] for line in data.strip().split("\n")}
     assert kinds == {"header", "demand_increase", "greedy_extend", "equilibrium_reached"}
+
+
+# names that exercise every escape json.dumps writes: quotes, backslashes,
+# control characters, non-ASCII text (BMP and astral) and the empty name
+NAME_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\n\t\x00\x1f\x7féü \U0001d11e'),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=4,
+)
+WRITERS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def named_games(draw):
+    """A game with 0-3 players over 0-3 resources with hostile names, modular ranks."""
+    names = tuple(draw(st.lists(NAME_TEXT, max_size=3, unique=True)))
+    m = len(names)
+    caps, demands = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        cap = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        caps.append(cap)
+        demands.append(draw(st.integers(0, sum(cap))))
+    total = sum(demands)
+    ranks = [
+        RankFunction(
+            tuple(sum(c[r] for r in range(m) if mask >> r & 1) for mask in range(1 << m))
+        )
+        for c in caps
+    ]
+    slopes = st.lists(st.sampled_from((0, 1, 3, 10**30)), min_size=m, max_size=m)
+    costs = [
+        tuple(tuple(slope * k for k in range(total + 1)) for slope in draw(slopes))
+        for _ in caps
+    ]
+    return GameInstance(names, tuple(demands), tuple(ranks), tuple(costs))
+
+
+@WRITERS
+@given(
+    named_games(),
+    st.sampled_from(
+        (
+            SolverPolicy("min_index"),
+            SolverPolicy("round_robin"),
+            SolverPolicy("seeded_random", seed=3),
+        )
+    ),
+)
+def test_writers_match_the_reference_encoders_on_solved_games(g, policy):
+    profile, trace = compute_pne(g, policy)
+    assert write_profile(g, profile) == reference_write_profile(g, profile)
+    assert write_trace(g, trace) == reference_write_trace(g, trace)
+
+
+@st.composite
+def free_events(draw, m):
+    """Events with any mix of None fields and kinds; some share the previous marginal tuple."""
+    index = st.none() | st.integers(0, m - 1) if m else st.none()
+    count = st.none() | st.integers(0, 10**20)
+    events, marginal = [], ()
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            marginal = tuple(draw(st.lists(st.integers(-(10**20), 10**20), max_size=4)))
+        events.append(
+            TraceEvent(
+                draw(st.sampled_from(EVENT_KINDS) | NAME_TEXT),
+                draw(st.integers(0, 10**6)),
+                draw(st.integers(0, 10**6)),
+                player=draw(count),
+                unit=draw(count),
+                from_resource=draw(index),
+                to_resource=draw(index),
+                overloaded=draw(index),
+                marginal_sorted=marginal,
+            )
+        )
+    return Trace(tuple(events))
+
+
+@WRITERS
+@given(st.data())
+def test_trace_writer_matches_the_reference_encoder_on_any_events(data):
+    g = data.draw(named_games())
+    trace = data.draw(free_events(g.m))
+    assert write_trace(g, trace) == reference_write_trace(g, trace)

@@ -8,6 +8,8 @@ valid tables nudged by one unit, up to six resources so that every bit of
 the difference bookkeeping is exercised.
 """
 
+from itertools import accumulate, product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from polynash.game import _first_ssc_violation, _marginal_bill_monotone
 from polynash.generators import random_rank
 from polynash.rank import _local_differences_ok, _rank_violations
 
-from helpers import full_pair_rank_ok, ssc_ok
+from helpers import full_pair_rank_ok, neighbour_bills_monotone, ssc_ok
 
 DIFFERENTIAL = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -105,3 +107,41 @@ def test_find_ssc_violation_matches_the_quadruple_scan(values, u, ab_max):
         assert b + y <= len(values) - 1
         assert ab_max is None or b <= ab_max
         assert _bill(values, a, x) > _bill(values, b, y)
+
+
+@st.composite
+def long_table_case(draw):
+    """(values, u, ab_max): up to 40 entries, a convex table or a walk with kinks
+    (steps may be negative), and bounds on either side of the table's end."""
+    size = draw(st.integers(0, 39))
+    step = st.integers(draw(st.sampled_from((-1, 0))), 6)
+    steps = draw(st.lists(step, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        steps.sort()
+    values = [draw(st.integers(0, 50))]
+    for step in steps:
+        values.append(values[-1] + step)
+    bound = st.integers(-1, size + 3)
+    return tuple(values), draw(bound), draw(st.none() | bound)
+
+
+@DIFFERENTIAL
+@given(long_table_case())
+def test_the_linear_pass_matches_the_neighbour_scan_on_long_tables(case):
+    # the pass checks two usages per load sum k, the scan every usage
+    assert _marginal_bill_monotone(*case) == neighbour_bills_monotone(*case)
+
+
+def test_the_linear_pass_matches_the_neighbour_scan_on_every_short_table():
+    # every table of up to five entries with steps in -1..3, at every bound
+    # on either side of its end: where the usage range is cut by u, by k,
+    # by ab_max or by the table
+    bounds = range(-1, 7)
+    for size in range(5):
+        for steps in product(range(-1, 4), repeat=size):
+            values = tuple(accumulate(steps, initial=1))
+            for u in bounds:
+                for ab_max in (None, *bounds):
+                    assert _marginal_bill_monotone(values, u, ab_max) == (
+                        neighbour_bills_monotone(values, u, ab_max)
+                    ), (values, u, ab_max)
