@@ -36,7 +36,6 @@ from .game import (
     Profile,
     WeightedGround,
     check_convex,
-    check_ssc,
     find_ssc_violation,
     induced_weights,
     private_cost,
@@ -116,7 +115,6 @@ __all__ = [
     "WeightedGround",
     "brute_force_best_response",
     "check_convex",
-    "check_ssc",
     "check_trace",
     "compute_pne",
     "enumerate_base",

@@ -10,7 +10,7 @@ all evaluation is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import gt, mul, sub
 from typing import Sequence
 
@@ -28,7 +28,6 @@ __all__ = [
     "Profile",
     "WeightedGround",
     "check_convex",
-    "check_ssc",
     "find_ssc_violation",
     "induced_weights",
     "private_cost",
@@ -91,9 +90,7 @@ def check_convex(c) -> bool:
     return all(diffs[k] <= diffs[k + 1] for k in range(len(diffs) - 1))
 
 
-def find_ssc_violation(
-    c, u: int, ab_max: int | None = None
-) -> tuple[int, int, int, int] | None:
+def find_ssc_violation(c, u: int) -> tuple[int, int, int, int] | None:
     """Search for a violation of the load-sensitivity inequality within the table.
 
     The inequality compares the marginal bill of keeping x units at prior
@@ -102,101 +99,44 @@ def find_ssc_violation(
         c[a+x]*x - c[a+x-1]*(x-1)  <=  c[b+y]*y - c[b+y-1]*(y-1)
 
     quantified over 1 <= x <= y <= u and 0 <= a <= b, restricted to the
-    quadruples whose table indices exist (b + y inside the table) and, when
-    ``ab_max`` is given, to a, b <= ab_max. Returns the first violating
-    (a, b, x, y) in scan order, or None.
+    quadruples whose table indices exist (b + y inside the table). Returns
+    None when it holds, else a violating (a, b, x, y).
 
-    An accepting pass decides the question in O(L) for a table of length L.
-    The marginal bill must be nondecreasing in a along each usage x and in x
-    at each prior load a, wherever both neighbours lie in the domain. That
-    is exact, because any quadruple is joined inside the domain by the path
+    One O(L) pass decides it for a table of length L. The marginal bill must
+    be nondecreasing in a along each usage x and in x at each prior load a,
+    wherever both neighbours lie in the domain. That is exact, because any
+    quadruple is joined inside the domain by the path
     (a, x) -> (a, y) -> (b, y). With k = a + x and d_k = c[k] - c[k-1], the
     two unit steps are
 
         along a:  x * d_{k+1} - (x - 1) * d_k
         along x:  (x + 1) * d_{k+1} - (x - 1) * d_k
 
-    both linear in x, so at each k they are nonnegative over the interval of
-    usages in the domain iff they are at its two ends. Only when the pass
-    rejects does the O(u^2 * L^2) quadruple scan run, to name the first
-    witness.
+    both linear in x. At each k the step along a runs over usages [1, h],
+    h = min(u, k), and the step along x, which is the step along a plus
+    d_{k+1}, over part of them. So h * d_{k+1} >= (h - 1) * d_k at every k
+    is all there is to check: at k = 1 it reads d_2 >= 0, and by induction
+    it gives d_{k+1} >= 0, the step along a at x = 1, at every k.
+
+    A rejected table's witness is that step at the smallest k where the
+    check fails: (a, b, x, y) = (k - h, k - h + 1, h, h). So the table cut
+    to ``values[:k+1]`` is accepted, and cut to ``values[:k+2]`` it is not.
     """
     values = _values_of(c)
-    if _marginal_bill_monotone(values, u, ab_max):
-        return None
-    return _first_ssc_violation(values, u, ab_max)
-
-
-def _marginal_bill_monotone(
-    values: tuple[int, ...], u: int, ab_max: int | None
-) -> bool:
     top = len(values) - 1
     if u < 1 or top < 2:
-        return True
-    # d[k] = c[k] - c[k - 1]; both steps sit at k = a + x in [1, top - 1]
+        return None
+    # d[k] = c[k] - c[k - 1]; the step sits at k = a + x in [1, top - 1]
     d = (None, *map(sub, values[1:], values[:-1]))
-    if ab_max is None:
-        # the step along a runs over usages [1, h], h = min(u, k), and the
-        # step along x, which is the step along a plus d[k+1], over part of
-        # them. So h * d[k+1] >= (h - 1) * d[k] at every k is all there is
-        # to check: at k = 1 it reads d[2] >= 0, and by induction it gives
-        # d[k+1] >= 0, the step along a at x = 1, at every k.
-        h = min(u, top - 1)
-        tops = chain(range(1, h + 1), repeat(u, top - 1 - h))
-        below = chain(range(h), repeat(u - 1, top - 1 - h))
-        return not any(map(gt, map(mul, below, d[1:-1]), map(mul, tops, d[2:])))
-    for k in range(1, min(top - 1, ab_max + u) + 1):
-        dk, dk1 = d[k], d[k + 1]
-        # along a: (a, x) -> (a + 1, x) needs a = k - x >= 0 and a + 1 <= ab_max
-        low, high = max(1, k + 1 - ab_max), min(u, k)
-        if low <= high and (
-            low * dk1 < (low - 1) * dk or high * dk1 < (high - 1) * dk
-        ):
-            return False
-        # along x: (a, x) -> (a, x + 1) needs x + 1 <= u and a <= ab_max
-        low, high = max(1, k - ab_max), min(u - 1, k)
-        if low <= high and (
-            (low + 1) * dk1 < (low - 1) * dk or (high + 1) * dk1 < (high - 1) * dk
-        ):
-            return False
-    return True
-
-
-def _first_ssc_violation(
-    values: tuple[int, ...], u: int, ab_max: int | None
-) -> tuple[int, int, int, int] | None:
-    top = len(values) - 1
-    for y in range(1, min(u, top) + 1):
-        b_top = top - y
-        if ab_max is not None:
-            b_top = min(b_top, ab_max)
-        for x in range(1, y + 1):
-            for b in range(b_top + 1):
-                rhs = values[b + y] * y - values[b + y - 1] * (y - 1)
-                for a in range(b + 1):
-                    lhs = values[a + x] * x - values[a + x - 1] * (x - 1)
-                    if lhs > rhs:
-                        return (a, b, x, y)
-    return None
-
-
-def check_ssc(c, horizon: int) -> bool:
-    """Load-sensitivity check with usage and prior loads both capped at ``horizon``.
-
-    Requires the table to cover every quadruple up to the horizon, i.e.
-    length at least 2 * horizon + 1. Runs :func:`find_ssc_violation`: an
-    O(L) accepting pass, with the quadruple scan only to name the first
-    witness of a rejected table.
-    """
-    values = _values_of(c)
-    if horizon <= 0:
-        return True
-    if len(values) < 2 * horizon + 1:
-        raise CostTableRangeError(
-            f"cost table of length {len(values)} too short for horizon {horizon}; "
-            f"need {2 * horizon + 1}"
-        )
-    return find_ssc_violation(values, horizon, ab_max=horizon) is None
+    h = min(u, top - 1)
+    tops = chain(range(1, h + 1), repeat(u, top - 1 - h))
+    below = chain(range(h), repeat(u - 1, top - 1 - h))
+    drops = map(gt, map(mul, below, d[1:-1]), map(mul, tops, d[2:]))
+    k = next(compress(range(1, top), drops), None)
+    if k is None:
+        return None
+    h = min(u, k)
+    return (k - h, k - h + 1, h, h)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,11 @@ def gen_singleton(
     if n == 0 or len(resource_sets) != n or len(costs) != n:
         raise MalformedInputError("need one resource set and cost row per player")
     m = len(costs[0])
+    # checked before any of the 2**m entries is built
+    if m > MAX_TABLE_RESOURCES:
+        raise MalformedInputError(
+            f"resource count must be at most {MAX_TABLE_RESOURCES}, got {m}"
+        )
     names = _resource_names(m, resource_names)
     demands = tuple(int(d) for d in demands)
     ranks = []

@@ -72,7 +72,9 @@ def _load_json(text: str):
         raise ParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from None
-    except ValueError as exc:  # an integer past the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer past the interpreter's digit limit, or nesting past the
+        # recursion limit
         raise ParseError(f"invalid JSON: {exc}") from None
 
 

@@ -74,7 +74,7 @@ def random_admissible_rows(
     return tuple(rows)
 
 
-def ssc_ok(values, u, ab_max=None) -> bool:
+def ssc_ok(values, u) -> bool:
     """Quadruple scan of the load-sensitivity inequality, written independently."""
     top = len(values) - 1
 
@@ -83,8 +83,6 @@ def ssc_ok(values, u, ab_max=None) -> bool:
 
     for a in range(top + 1):
         for b in range(a, top + 1):
-            if ab_max is not None and (a > ab_max or b > ab_max):
-                continue
             for x in range(1, u + 1):
                 for y in range(x, u + 1):
                     if b + y > top or a + x > top:
@@ -94,7 +92,7 @@ def ssc_ok(values, u, ab_max=None) -> bool:
     return True
 
 
-def neighbour_bills_monotone(values, u, ab_max=None) -> bool:
+def neighbour_bills_monotone(values, u) -> bool:
     """Marginal bills nondecreasing between every pair of neighbours in the domain.
 
     The O(u * L) form of the load-sensitivity check: (a, x) and its
@@ -104,7 +102,7 @@ def neighbour_bills_monotone(values, u, ab_max=None) -> bool:
     top = len(values) - 1
 
     def inside(a, x):
-        return 1 <= x <= u and a + x <= top and (ab_max is None or a <= ab_max)
+        return 1 <= x <= u and a + x <= top
 
     def bill(a, x):
         return values[a + x] * x - values[a + x - 1] * (x - 1)

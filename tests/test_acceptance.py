@@ -15,9 +15,9 @@ from polynash import (
     SolverPolicy,
     WeightedGround,
     check_convex,
-    check_ssc,
     compute_pne,
     extend_best_response,
+    find_ssc_violation,
     gen_matroid_game,
     gen_random,
     gen_singleton,
@@ -268,11 +268,11 @@ def test_criterion_7_convexity_is_sufficient_but_not_necessary():
     failures = 0
     for _ in range(CONVEX_TABLES):
         table = random_convex_table(rng, 11)
-        if not check_ssc(table, 5):
+        if find_ssc_violation(table, 5) is not None:
             failures += 1
     # 4x for loads <= 2 and 4x - 1 afterwards: load-sensitive yet non-convex
     kinked = tuple(4 * k if k <= 2 else 4 * k - 1 for k in range(11))
-    counterexample_ok = check_ssc(kinked, 5) and not check_convex(kinked)
+    counterexample_ok = find_ssc_violation(kinked, 5) is None and not check_convex(kinked)
     ok = failures == 0 and counterexample_ok
     _report(
         7,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from polynash import MatroidSpec, parse_instance
+from polynash import MatroidSpec, generators, parse_instance
 from polynash.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -151,6 +151,36 @@ def test_gen_matroid_checks_the_resource_count_before_building_tables(
     assert rc == EXIT_INVALID
     assert f"must be in [0, 20], got {resources}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_singleton_checks_the_resource_count_before_building_tables(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+    rank_function = generators.RankFunction
+
+    def counting(values):
+        built.append(len(values))
+        return rank_function(values)
+
+    monkeypatch.setattr(generators, "RankFunction", counting)
+    names = ",".join(f"r{k}" for k in range(21))
+    out = tmp_path / "s.json"
+    args = ["gen", "--kind", "singleton", "--resource-sets", "r0", "--demands", "1"]
+    rc = main(args + ["--resource-names", names, "--output", str(out)])
+    assert rc == EXIT_INVALID
+    assert "resource count must be at most 20, got 21" in capsys.readouterr().err
+    assert built == []
+    assert not out.exists()
+
+
+def test_deeply_nested_document_is_invalid(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["check", "--instance", str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: invalid JSON: maximum recursion depth")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("target", ["solve --output", "solve --trace", "gen --output"])

@@ -15,7 +15,6 @@ from polynash import (
     ValidationError,
     WeightedGround,
     check_convex,
-    check_ssc,
     find_ssc_violation,
     induced_weights,
     private_cost,
@@ -48,23 +47,18 @@ def test_cost_table_validation():
         table[3]
 
 
-def test_check_ssc_on_squares_and_linear():
-    assert ssc_ok(SQUARES, 5, ab_max=5)
-    assert check_ssc(SQUARES, 5)
-    assert check_ssc(LINEAR, 5)
+def test_find_ssc_violation_accepts_squares_and_linear():
+    assert ssc_ok(SQUARES, 5)
+    assert find_ssc_violation(SQUARES, 5) is None
+    assert find_ssc_violation(LINEAR, 5) is None
 
 
 def test_kinked_table_is_load_sensitive_but_not_convex():
-    assert ssc_ok(KINKED, 5, ab_max=5)  # independent scan agrees
-    assert check_ssc(KINKED, 5)
+    assert ssc_ok(KINKED, 5)  # independent scan agrees
+    assert find_ssc_violation(KINKED, 5) is None
     assert not check_convex(KINKED)
     d = [KINKED[k + 1] - KINKED[k] for k in range(4)]
     assert d == [4, 4, 3, 4]
-
-
-def test_check_ssc_requires_a_long_enough_table():
-    with pytest.raises(CostTableRangeError):
-        check_ssc((0, 1, 2), 5)
 
 
 def test_truncated_check_at_usage_one_is_nondecreasingness():
@@ -90,15 +84,35 @@ def test_truncated_check_finds_decelerating_jumps():
     assert find_ssc_violation(table, 3) is not None
 
 
-def test_full_check_implies_every_truncation():
+def test_acceptance_is_monotone_in_the_usage_cap():
+    # a larger cap only adds quadruples, so once a table is rejected it
+    # stays rejected
     rng = random.Random(4)
+    rejected = 0
     for _ in range(150):
         values = [rng.randint(0, 3)]
         for _ in range(8):
             values.append(values[-1] + rng.randint(0, 3))
-        if check_ssc(values, 4):
-            for u in range(1, 5):
-                assert find_ssc_violation(values, u) is None
+        accepted = [find_ssc_violation(values, u) is None for u in range(1, 10)]
+        assert accepted == sorted(accepted, reverse=True), values
+        rejected += not accepted[-1]
+    assert rejected > 0
+
+
+def test_the_witness_sits_at_the_smallest_failing_load_sum():
+    # a linear table of length 2,000 with its last step made flat: only the
+    # full usage at the last load sum sees the flat step
+    values = (*range(1999), 1998)
+    top = len(values) - 1
+    quad = find_ssc_violation(values, top)
+    assert quad == (0, 1, top - 1, top - 1)
+    k = quad[0] + quad[2]
+    assert find_ssc_violation(values[: k + 1], top) is None
+    assert find_ssc_violation(values[: k + 2], top) == quad
+    # ssc_ok checks a shorter one of the same shape independently
+    short = (*range(9), 8)
+    assert find_ssc_violation(short, 9) == (0, 1, 8, 8)
+    assert ssc_ok(short[:9], 9) and not ssc_ok(short, 9)
 
 
 def test_random_convex_tables_pass_the_full_check():
@@ -106,7 +120,7 @@ def test_random_convex_tables_pass_the_full_check():
     for _ in range(100):
         table = random_convex_table(rng, 11)
         assert check_convex(table.values)
-        assert check_ssc(table, 5)
+        assert find_ssc_violation(table, 5) is None
 
 
 def _two_resource_instance(costs_p0, costs_p1, demands=(1, 1)):

@@ -9,7 +9,6 @@ from polynash import (
     MalformedInputError,
     MatroidSpec,
     check_convex,
-    check_ssc,
     compute_pne,
     enumerate_base,
     find_ssc_violation,
@@ -161,7 +160,7 @@ def test_gen_random_convex_family_passes_the_full_check():
             for r in range(g.m):
                 assert check_convex(g.costs[i][r].values)
                 if horizon >= 1:
-                    assert check_ssc(g.costs[i][r], horizon)
+                    assert find_ssc_violation(g.costs[i][r], horizon) is None
 
 
 def test_gen_random_truncated_family_validates_and_contains_non_convex_tables():

@@ -155,6 +155,23 @@ def test_an_integer_past_the_digit_limit_is_a_parse_error():
         parse_instance(text)
 
 
+def test_deeply_nested_documents_are_parse_errors():
+    # past the recursion limit, json.loads raises RecursionError
+    nested = "[" * 100_000 + "]" * 100_000
+    g = parse_instance(_doc())
+    message = "invalid JSON: maximum recursion depth"
+    with pytest.raises(ParseError, match=message):
+        parse_instance(nested)
+    with pytest.raises(ParseError, match=message):
+        parse_profile(nested, g)
+    _, trace = compute_pne(g)
+    lines = write_trace(g, trace).decode().splitlines()
+    with pytest.raises(ParseError, match=message):
+        check_trace(nested)
+    with pytest.raises(ParseError, match=message):
+        check_trace("\n".join([lines[0], nested, *lines[1:]]) + "\n")
+
+
 def test_parse_rejects_wrong_version():
     with pytest.raises(ParseError):
         parse_instance(_doc(format_version=2))

@@ -1,11 +1,11 @@
 """The accepting passes of instance validation against the full scans.
 
-``validate_rank`` and ``find_ssc_violation`` first run a cheap pass that
-only accepts or rejects, and fall back to their subset and quadruple scans
-to name a witness. These checks compare both answers with the independent
-oracles of ``helpers``, on tables near the boundary of validity: generated
-valid tables nudged by one unit, up to six resources so that every bit of
-the difference bookkeeping is exercised.
+``validate_rank`` first runs a cheap pass that only accepts or rejects,
+and falls back to its subset scan to name a witness. ``find_ssc_violation``
+names its witness from its one linear pass. These checks compare both
+answers with the independent oracles of ``helpers``, on tables near the
+boundary of validity: generated valid tables nudged by one unit, up to six
+resources so that every bit of the difference bookkeeping is exercised.
 """
 
 from itertools import accumulate, product
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynash import RankFunction, find_ssc_violation, validate_rank
-from polynash.game import _first_ssc_violation, _marginal_bill_monotone
 from polynash.generators import random_rank
 from polynash.rank import _local_differences_ok, _rank_violations
 
@@ -90,29 +89,29 @@ def _bill(values, load, x):
     return values[load + x] * x - values[load + x - 1] * (x - 1)
 
 
+def _check_witness(values, u, quad):
+    """A real violation inside the domain, at the smallest failing load sum."""
+    a, b, x, y = quad
+    assert 1 <= x <= y <= u and 0 <= a <= b
+    assert b + y <= len(values) - 1
+    assert _bill(values, a, x) > _bill(values, b, y)
+    k = a + x
+    assert ssc_ok(values[: k + 1], u) and not ssc_ok(values[: k + 2], u)
+
+
 @DIFFERENTIAL
-@given(
-    near_ssc_table(),
-    st.integers(0, 7),
-    st.one_of(st.none(), st.integers(0, 7)),
-)
-def test_find_ssc_violation_matches_the_quadruple_scan(values, u, ab_max):
-    quad = find_ssc_violation(values, u, ab_max)
-    assert (quad is None) == ssc_ok(values, u, ab_max)
-    assert _marginal_bill_monotone(values, u, ab_max) == (quad is None)
-    assert quad == _first_ssc_violation(values, u, ab_max)
+@given(near_ssc_table(), st.integers(0, 7))
+def test_find_ssc_violation_matches_the_quadruple_scan(values, u):
+    quad = find_ssc_violation(values, u)
+    assert (quad is None) == ssc_ok(values, u)
     if quad is not None:
-        a, b, x, y = quad
-        assert 1 <= x <= y <= u and 0 <= a <= b
-        assert b + y <= len(values) - 1
-        assert ab_max is None or b <= ab_max
-        assert _bill(values, a, x) > _bill(values, b, y)
+        _check_witness(values, u, quad)
 
 
 @st.composite
 def long_table_case(draw):
-    """(values, u, ab_max): up to 40 entries, a convex table or a walk with kinks
-    (steps may be negative), and bounds on either side of the table's end."""
+    """(values, u): up to 40 entries, a convex table or a walk with kinks
+    (steps may be negative), and a usage cap on either side of the table's end."""
     size = draw(st.integers(0, 39))
     step = st.integers(draw(st.sampled_from((-1, 0))), 6)
     steps = draw(st.lists(step, min_size=size, max_size=size))
@@ -121,27 +120,32 @@ def long_table_case(draw):
     values = [draw(st.integers(0, 50))]
     for step in steps:
         values.append(values[-1] + step)
-    bound = st.integers(-1, size + 3)
-    return tuple(values), draw(bound), draw(st.none() | bound)
+    return tuple(values), draw(st.integers(-1, size + 3))
 
 
 @DIFFERENTIAL
 @given(long_table_case())
 def test_the_linear_pass_matches_the_neighbour_scan_on_long_tables(case):
-    # the pass checks two usages per load sum k, the scan every usage
-    assert _marginal_bill_monotone(*case) == neighbour_bills_monotone(*case)
+    # the pass checks one usage per load sum k, the scan every usage
+    values, u = case
+    quad = find_ssc_violation(values, u)
+    assert (quad is None) == neighbour_bills_monotone(values, u)
+    if quad is not None:
+        a, b, x, y = quad
+        assert 1 <= x <= y <= u and 0 <= a <= b and b + y <= len(values) - 1
+        assert _bill(values, a, x) > _bill(values, b, y)
 
 
 def test_the_linear_pass_matches_the_neighbour_scan_on_every_short_table():
-    # every table of up to five entries with steps in -1..3, at every bound
-    # on either side of its end: where the usage range is cut by u, by k,
-    # by ab_max or by the table
-    bounds = range(-1, 7)
-    for size in range(5):
+    # every table of up to seven entries with steps in -1..3, at every usage
+    # cap on either side of its end: where the usage range is cut by u, by k
+    # or by the table. The quadruple scan agrees too.
+    for size in range(7):
         for steps in product(range(-1, 4), repeat=size):
             values = tuple(accumulate(steps, initial=1))
-            for u in bounds:
-                for ab_max in (None, *bounds):
-                    assert _marginal_bill_monotone(values, u, ab_max) == (
-                        neighbour_bills_monotone(values, u, ab_max)
-                    ), (values, u, ab_max)
+            for u in range(-1, 8):
+                quad = find_ssc_violation(values, u)
+                assert (quad is None) == neighbour_bills_monotone(values, u), (values, u)
+                assert (quad is None) == ssc_ok(values, u), (values, u)
+                if quad is not None:
+                    _check_witness(values, u, quad)
