@@ -192,7 +192,12 @@ def _best_exchange(
 
 
 class _SettleState:
-    """What one solve has worked out about its players, kept for that solve.
+    """One solve's position, plus what the solve has worked out about its players.
+
+    The position is ``strategies`` (one count tuple per player), ``loads``
+    (their per-resource sums) and ``homes`` (the resource of each placed
+    unit, per player, in placement order). Only :meth:`insert` and
+    :meth:`move` change it, each in two coordinates at most.
 
     Weight rows are keyed by (player, resource, opponent load) and built once,
     from the cost table's values, with the range and nondecreasing checks of
@@ -204,6 +209,9 @@ class _SettleState:
 
     def __init__(self, g: GameInstance) -> None:
         self.g = g
+        self.strategies: list[tuple[int, ...]] = [(0,) * g.m] * g.n
+        self.loads = [0] * g.m
+        self.homes: list[list[int]] = [[] for _ in range(g.n)]
         self._caps = [[g.chain_cap(i, r) for r in range(g.m)] for i in range(g.n)]
         self._rows: list[list[dict[int, tuple[int, ...]]]] = [
             [{} for _ in range(g.m)] for _ in range(g.n)
@@ -230,28 +238,42 @@ class _SettleState:
         self._tight[i] = (x, tight)
         return tight
 
-    def extend(self, i: int, x: tuple[int, ...], loads: tuple[int, ...]) -> int:
-        """Resource of player i's cheapest feasible extra unit against ``loads - x``."""
-        rows = self.rows(i, map(sub, loads, x))
-        return _cheapest_addition(x, rows, self.tight(i, x))
+    def insert(self, i: int) -> int:
+        """Place player i's cheapest feasible extra unit; return its resource."""
+        x = self.strategies[i]
+        rows = self.rows(i, map(sub, self.loads, x))
+        r = _cheapest_addition(x, rows, self.tight(i, x))
+        self.strategies[i] = x[:r] + (x[r] + 1,) + x[r + 1 :]
+        self.loads[r] += 1
+        self.homes[i].append(r)
+        return r
 
-    def exchange(
-        self, i: int, x: tuple[int, ...], loads: tuple[int, ...]
-    ) -> SwapStep | None:
-        """Player i's best improving exchange against ``loads - x``, or None."""
-        return _best_exchange(x, self.rows(i, map(sub, loads, x)), self.tight(i, x))
+    def exchange(self, i: int) -> SwapStep | None:
+        """Player i's best improving exchange against the others' loads, or None."""
+        x = self.strategies[i]
+        rows = self.rows(i, map(sub, self.loads, x))
+        return _best_exchange(x, rows, self.tight(i, x))
 
-    def first_move(
-        self, p: Profile, over: int
-    ) -> tuple[int, SwapStep] | tuple[None, None]:
+    def first_move(self, over: int) -> tuple[int, SwapStep] | tuple[None, None]:
         """The first holder of ``over`` by index with an improving exchange, and it."""
-        loads = p.loads(self.g.m)
-        for i, x in enumerate(p.strategies):
+        for i, x in enumerate(self.strategies):
             if x[over]:
-                swap = self.exchange(i, x, loads)
+                swap = self.exchange(i)
                 if swap is not None:
                     return i, swap
         return None, None
+
+    def move(self, j: int, from_r: int, to_r: int) -> int:
+        """Move a unit of player j from ``from_r`` to ``to_r``; return its index."""
+        moved = list(self.strategies[j])
+        moved[from_r] -= 1
+        moved[to_r] += 1
+        self.strategies[j] = tuple(moved)
+        self.loads[from_r] -= 1
+        self.loads[to_r] += 1
+        unit = self.homes[j].index(from_r)
+        self.homes[j][unit] = to_r
+        return unit
 
 
 def _check_shift_structure(

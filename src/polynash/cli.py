@@ -50,6 +50,10 @@ EXIT_INVALID = 2
 EXIT_VIOLATIONS = 3
 EXIT_INTERNAL = 4
 
+# parsing a document takes several times its size in memory, so a larger
+# file is refused before it is read
+_MAX_DOCUMENT_BYTES = 256 * 2**20
+
 _INVALID_ERRORS = (
     ParseError,
     ValidationError,
@@ -157,10 +161,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> bytes:
+    """The bytes of a document, refused unread when it is over the byte cap."""
     try:
-        return Path(path).read_bytes()
+        size = Path(path).stat().st_size
+        if size <= _MAX_DOCUMENT_BYTES:
+            return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    raise ParseError(
+        f"{path} is {size} bytes, over the {_MAX_DOCUMENT_BYTES}-byte cap on documents"
+    )
 
 
 def _write(path: str, data: bytes) -> None:

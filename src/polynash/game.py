@@ -159,16 +159,6 @@ class WeightedGround:
     def length(self, r: int) -> int:
         return len(self.weights[r])
 
-    def weight(self, r: int, t: int) -> int:
-        if not 0 <= r < len(self.weights):
-            raise MalformedInputError(f"resource index {r} out of range")
-        if not 1 <= t <= len(self.weights[r]):
-            raise MalformedInputError(
-                f"chain position {t} outside resource {r}'s chain of length "
-                f"{len(self.weights[r])}"
-            )
-        return self.weights[r][t - 1]
-
     def ideal_weight(self, counts: Sequence[int]) -> int:
         """Total weight of the ideal taking the first counts[r] positions per chain."""
         counts = tuple(int(v) for v in counts)

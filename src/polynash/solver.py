@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
+from typing import Sequence
 
 from .bestresponse import SwapStep, _SettleState, is_best_response, repair_best_response
 from .errors import CostTableRangeError, InvariantError, MalformedInputError
@@ -96,21 +97,25 @@ class Trace:
 
 
 def marginal_vector(
-    g: GameInstance, p: Profile, overloaded: int | None = None
+    g: GameInstance,
+    strategies: Sequence[Sequence[int]],
+    overloaded: int | None = None,
 ) -> tuple[int, ...]:
     """Marginal costs of every placed unit under the two-case rule, non-increasing.
 
-    Units on the overloaded resource are priced as the saving of removing
-    one own unit at the current load; units elsewhere as the saving of
-    removing one own unit after the load there grows by one. All units one
-    player keeps on one resource share a value. The sorted tuple is the
-    quantity that must shrink lexicographically across improvement moves.
+    ``strategies`` holds one count vector over ``g``'s resources per player;
+    the loads are their per-resource sums. Units on the overloaded resource are priced as the
+    saving of removing one own unit at the current load; units elsewhere as
+    the saving of removing one own unit after the load there grows by one.
+    All units one player keeps on one resource share a value. The sorted
+    tuple is the quantity that must shrink lexicographically across
+    improvement moves.
     """
     if overloaded is not None and not 0 <= overloaded < g.m:
         raise MalformedInputError(f"resource index {overloaded} out of range")
-    loads = p.loads(g.m)
+    loads = tuple(map(sum, zip(*strategies)))
     marginals: list[int] = []
-    for i, strategy in enumerate(p.strategies):
+    for i, strategy in enumerate(strategies):
         for r, own in enumerate(strategy):
             if own == 0:
                 continue
@@ -209,67 +214,14 @@ def _check_state(
         )
 
 
-def _check_move(
-    p: Profile,
-    j: int,
-    swap: SwapStep,
-    over: int,
-    settled_loads: tuple[int, ...],
-    outer: int,
-    inner: int,
-    total_moves: int,
-    step_cap: int,
-    total_cap: int,
-) -> Profile:
-    """Apply player j's move to p under the always-on invariants; return the result.
-
-    The extra unit on ``over`` is not the mover's own, the move leaves
-    ``over``, the moves so far stay within both bounds, and the loads after
-    it, freshly summed, are the settled loads plus one unit on its target.
-    """
-    m = len(settled_loads)
-    x = p.strategies[j]
-    if p.loads(m)[over] == x[over]:
-        raise InvariantError(
-            f"the extra unit on resource {over} belongs to the mover "
-            f"{j} itself; strategies={list(p.strategies)}"
-        )
-    from_r, to_r = swap.remove[0], swap.add[0]
-    if from_r != over:
-        raise InvariantError(
-            f"improvement move leaves resource {from_r}, expected the "
-            f"overloaded resource {over}"
-        )
-    moved = list(x)
-    moved[from_r] -= 1
-    moved[to_r] += 1
-    after = Profile(p.strategies[:j] + (tuple(moved),) + p.strategies[j + 1 :])
-    if inner > step_cap:
-        raise InvariantError(
-            f"improvement moves after insertion {outer} exceeded the bound "
-            f"{step_cap}"
-        )
-    if total_moves > total_cap:
-        raise InvariantError(f"total improvement moves exceeded the bound {total_cap}")
-    loads_now = after.loads(m)
-    expected = list(settled_loads)
-    expected[to_r] += 1
-    if loads_now != tuple(expected):
-        raise InvariantError(
-            f"loads {loads_now} are not the settled loads {settled_loads} "
-            f"plus one unit on resource {to_r}"
-        )
-    return after
-
-
 def _pick_player(
     policy: SolverPolicy,
     demands: tuple[int, ...],
-    unit_home: list[list[int]],
+    homes: list[list[int]],
     rng: random.Random,
     cursor: int,
 ) -> tuple[int, int]:
-    eligible = [i for i, d in enumerate(demands) if len(unit_home[i]) < d]
+    eligible = [i for i, d in enumerate(demands) if len(homes[i]) < d]
     if policy.player_selection == "min_index":
         return eligible[0], cursor
     if policy.player_selection == "round_robin":
@@ -285,11 +237,12 @@ def compute_pne(
 
     The returned profile makes every player's strategy a best response. The
     trace records every insertion and every improvement move together with
-    the sorted marginal-cost vector after it.
+    the sorted marginal-cost vector after it. The solve's position (its
+    strategies, loads and unit homes) lives in one settle state, next to that
+    state's memo of weight rows and tight sets; a ``Profile`` is built for the
+    result and, under ``debug_assertions``, for each state's reference check.
     """
     policy = policy or SolverPolicy()
-    n, m = g.n, g.m
-    unit_home: list[list[int]] = [[] for _ in range(n)]
     events: list[TraceEvent] = []
     rng = random.Random(0 if policy.seed is None else policy.seed)
     cursor = 0
@@ -297,22 +250,15 @@ def compute_pne(
     total_cap = iteration_bound(g)
     step_cap = insertion_step_bound(g)
     settle = _SettleState(g)
-
-    # one Profile per state, its loads summed once; opponents see loads - x_j
-    profile = Profile(((0,) * m,) * n)
+    strategies = settle.strategies
 
     for outer in range(1, g.total_demand + 1):
-        i, cursor = _pick_player(policy, g.demands, unit_home, rng, cursor)
-        settled_loads = profile.loads(m)
-        old = profile.strategies[i]
-        r0 = settle.extend(i, old, settled_loads)
-        new = old[:r0] + (old[r0] + 1,) + old[r0 + 1 :]
-        profile = Profile(profile.strategies[:i] + (new,) + profile.strategies[i + 1 :])
-        unit_home[i].append(r0)
-        unit = len(unit_home[i])
+        i, cursor = _pick_player(policy, g.demands, settle.homes, rng, cursor)
+        settled = tuple(settle.loads)
+        over = settle.insert(i)
+        unit = len(settle.homes[i])
         events.append(TraceEvent(EVENT_DEMAND_INCREASE, outer, 0, player=i, unit=unit))
-        over = r0
-        snapshot = marginal_vector(g, profile, over)
+        snapshot = marginal_vector(g, strategies, over)
         events.append(
             TraceEvent(
                 EVENT_GREEDY_EXTEND,
@@ -320,7 +266,7 @@ def compute_pne(
                 0,
                 player=i,
                 unit=unit,
-                to_resource=r0,
+                to_resource=over,
                 overloaded=over,
                 marginal_sorted=snapshot,
             )
@@ -328,31 +274,48 @@ def compute_pne(
         inner = 0
         while True:
             # the first improvable holder moves by the exchange that shows it
-            j, swap = settle.first_move(profile, over)
+            j, swap = settle.first_move(over)
             if policy.debug_assertions:
-                _check_state(g, profile, over, (j, swap))
+                _check_state(g, Profile(tuple(strategies)), over, (j, swap))
             if swap is None:
                 break
             inner += 1
             total_moves += 1
-            moved = _check_move(
-                profile,
-                j,
-                swap,
-                over,
-                settled_loads,
-                outer,
-                inner,
-                total_moves,
-                step_cap,
-                total_cap,
-            )
+            # the always-on move invariants
+            if settle.loads[over] == strategies[j][over]:
+                raise InvariantError(
+                    f"the extra unit on resource {over} belongs to the mover "
+                    f"{j} itself; strategies={strategies}"
+                )
             from_r, to_r = swap.remove[0], swap.add[0]
-            unit_idx = unit_home[j].index(from_r)
-            unit_home[j][unit_idx] = to_r
-            profile = moved
+            if from_r != over:
+                raise InvariantError(
+                    f"improvement move leaves resource {from_r}, expected the "
+                    f"overloaded resource {over}"
+                )
+            if inner > step_cap:
+                raise InvariantError(
+                    f"improvement moves after insertion {outer} exceeded the bound "
+                    f"{step_cap}"
+                )
+            if total_moves > total_cap:
+                raise InvariantError(
+                    f"total improvement moves exceeded the bound {total_cap}"
+                )
+            unit_idx = settle.move(j, from_r, to_r)
+            loads = tuple(map(sum, zip(*strategies)))
+            if loads != settled[:to_r] + (settled[to_r] + 1,) + settled[to_r + 1 :]:
+                raise InvariantError(
+                    f"loads {loads} are not the settled loads {settled} "
+                    f"plus one unit on resource {to_r}"
+                )
+            if list(loads) != settle.loads:
+                raise InvariantError(
+                    f"tracked loads {tuple(settle.loads)} are not the loads "
+                    f"{loads} summed from the strategies"
+                )
             over = to_r
-            nxt = marginal_vector(g, profile, over)
+            nxt = marginal_vector(g, strategies, over)
             if not nxt < snapshot:
                 raise InvariantError(
                     "sorted marginal vector failed to strictly decrease: "
@@ -381,4 +344,4 @@ def compute_pne(
                 marginal_sorted=snapshot,
             )
         )
-    return profile, Trace(tuple(events))
+    return Profile(tuple(strategies)), Trace(tuple(events))

@@ -296,6 +296,9 @@ def test_the_no_feasible_addition_message():
         # demand 3 is within the rank, but (2, 0) already overfills a
         extend_best_response(f, WeightedGround(((1,), (1, 2))), (2, 0))
     assert str(err.value) == message
+    settle = solver._SettleState(_one_player_on(F_AB))
+    settle.insert(0), settle.insert(0)
+    assert settle.strategies == [(1, 1)]  # a full base: a and b together hold 2
     with pytest.raises(InfeasibleTruncationError) as err:
-        solver._SettleState(_one_player_on(F_AB)).extend(0, (1, 1), (1, 1))
+        settle.insert(0)
     assert str(err.value) == message

@@ -200,6 +200,17 @@ def test_unwritable_output_is_a_usage_error(tmp_path, instance_path, capsys, tar
     assert err.count("\n") == 1
 
 
+def test_oversized_document_is_refused_unread(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    with path.open("wb") as sparse:
+        sparse.truncate(256 * 2**20 + 1)
+    assert main(["check", "--instance", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        f"invalid input: {path} is 268435457 bytes, over the 268435456-byte cap "
+        "on documents\n"
+    )
+
+
 def test_missing_file_is_invalid(tmp_path):
     assert main(["check", "--instance", str(tmp_path / "nope.json")]) == EXIT_INVALID
 

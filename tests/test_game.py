@@ -170,7 +170,7 @@ def test_weighted_ground_rejects_decreasing_chains():
     w = WeightedGround(((1, 5), (2,)))
     assert w.ideal_weight((1, 1)) == 3
     assert w.ideal_weight((2, 0)) == 6
-    assert w.weight(0, 2) == 5
+    assert w.weights[0][1] == 5
 
 
 def test_instance_validation_rejects_infeasible_demand():

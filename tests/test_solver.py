@@ -1,5 +1,6 @@
 """The insertion solver: marginal costs, bounds, policies, and run invariants."""
 
+from collections import Counter
 from operator import sub
 from unittest.mock import patch
 
@@ -94,22 +95,21 @@ def test_marginal_vector_two_case_rule():
     linear = tuple(range(7))
     g = GameInstance(("a", "b"), (2, 1), (f, f), ((linear, linear), (linear, linear)))
     # player 0 keeps two units on a, player 1 one more: load 3
-    p = Profile(((2, 0), (1, 0)))
     # on the overloaded resource: c(3)*2 - c(2)*1 = 4 for each of player 0's
     # units, c(3)*1 - c(2)*0 = 3 for player 1's
-    assert marginal_vector(g, p, 0) == (4, 4, 3)
+    assert marginal_vector(g, ((2, 0), (1, 0)), 0) == (4, 4, 3)
     # elsewhere: c(2)*1 - c(1)*0 = 2
-    assert marginal_vector(g, Profile(((1, 0), (0, 0))), 1) == (2,)
-    assert marginal_vector(g, Profile(((0, 0), (0, 0))), None) == ()
+    assert marginal_vector(g, ((1, 0), (0, 0)), 1) == (2,)
+    assert marginal_vector(g, ((0, 0), (0, 0)), None) == ()
     # one unit each on the overloaded a, load 2: c(2)*1 - c(1)*0 = 2; player
     # 0's two units on b, load 2, elsewhere: c(3)*2 - c(2)*1 = 4 each
-    assert marginal_vector(g, Profile(((1, 2), (1, 0))), 0) == (4, 4, 2, 2)
+    assert marginal_vector(g, ((1, 2), (1, 0)), 0) == (4, 4, 2, 2)
 
 
 def test_marginal_vector_is_nonincreasing_with_one_value_per_unit():
     g = gen_random(5, 3, 3, 2)
     profile, _ = compute_pne(g)
-    mv = marginal_vector(g, profile, 0)
+    mv = marginal_vector(g, profile.strategies, 0)
     assert list(mv) == sorted(mv, reverse=True)
     assert len(mv) == g.total_demand
 
@@ -117,12 +117,12 @@ def test_marginal_vector_is_nonincreasing_with_one_value_per_unit():
 def test_marginal_vector_range_errors_keep_their_messages():
     f = RankFunction((0, 3))
     g = GameInstance(("a",), (2,), (f,), (((0, 1, 2),),))
-    assert marginal_vector(g, Profile(((2,),)), 0) == (3, 3)
+    assert marginal_vector(g, ((2,),), 0) == (3, 3)
     with pytest.raises(CostTableRangeError) as err:
-        marginal_vector(g, Profile(((3,),)), 0)
+        marginal_vector(g, ((3,),), 0)
     assert str(err.value) == "load 3 outside cost table of length 3"
     with pytest.raises(CostTableRangeError) as err:
-        marginal_vector(g, Profile(((2,),)))
+        marginal_vector(g, ((2,),))
     assert str(err.value) == (
         "player 0 cost table on resource 0 covers loads up to 2, marginal "
         "evaluation needs 3"
@@ -223,12 +223,20 @@ def test_policy_rejects_unknown_selection():
 
 
 def test_repeated_runs_are_identical():
-    g = gen_random(33, 3, 4, 3)
+    # one solve leaves nothing behind that a later solve in the process reads
+    g = gen_random(33, 3, 3, 3)
+    for selection in ("min_index", "round_robin", "seeded_random"):
+        policy = SolverPolicy(selection, seed=12)
+        first = compute_pne(g, policy)
+        compute_pne(gen_random(34, 3, 3, 3), policy)
+        second = compute_pne(g, policy)
+        assert first[1].improvement_moves(), selection
+        assert first == second, selection
+        assert write_profile(g, first[0]) + write_trace(g, first[1]) == (
+            write_profile(g, second[0]) + write_trace(g, second[1])
+        ), selection
     policy = SolverPolicy("seeded_random", seed=12, debug_assertions=True)
-    first = compute_pne(g, policy)
-    second = compute_pne(g, policy)
-    assert first[0] == second[0]
-    assert first[1] == second[1]
+    assert compute_pne(g, policy) == compute_pne(g, policy)
 
 
 def _replay(g, trace):
@@ -324,9 +332,9 @@ def test_mover_search_tests_holders_in_index_order_and_stops_at_the_first(
     tested = []
     real = solver._SettleState.exchange
 
-    def recording(self, i, x, loads):
+    def recording(self, i):
         tested.append(i)
-        return real(self, i, x, loads)
+        return real(self, i)
 
     monkeypatch.setattr(solver._SettleState, "exchange", recording)
     profile, trace = compute_pne(g)
@@ -364,25 +372,85 @@ def test_debug_solve_scans_every_state_and_rederives_each_move(monkeypatch):
     assert repair in calls
 
 
-def test_a_move_off_another_resource_breaks_an_always_on_invariant(monkeypatch):
-    # the game of test_arrival_displaces_a_settled_player_in_one_move: player
-    # 0's real move is a -> b; the fake exchange moves its unit from b instead
+def _arrival_game():
+    """The game of test_arrival_displaces_a_settled_player_in_one_move.
+
+    Player 0 settles on a; player 1's arrival there, at insertion 2, makes
+    player 0 move its unit from a to b.
+    """
     f = RankFunction((0, 1, 1, 1))
-    g = GameInstance(
+    return GameInstance(
         ("a", "b"),
         (1, 1),
         (f, f),
         (((0, 1, 10), (0, 3, 3)), ((0, 1, 2), (0, 9, 9))),
     )
+
+
+def test_a_move_off_another_resource_breaks_an_always_on_invariant(monkeypatch):
+    # player 0's real move is a -> b; the fake exchange moves its unit from b
     real = solver._SettleState.exchange
 
-    def off_b(self, i, x, loads):
-        swap = real(self, i, x, loads)
+    def off_b(self, i):
+        swap = real(self, i)
         return swap and SwapStep(remove=(1, 1), add=(0, 2), improvement=1)
 
     monkeypatch.setattr(solver._SettleState, "exchange", off_b)
-    with pytest.raises(InvariantError, match="move leaves resource 1, expected"):
-        compute_pne(g)
+    with pytest.raises(InvariantError) as err:
+        compute_pne(_arrival_game())
+    assert str(err.value) == (
+        "improvement move leaves resource 1, expected the overloaded resource 0"
+    )
+
+
+def test_every_other_always_on_move_invariant_names_itself(monkeypatch):
+    real_move = solver._SettleState.move
+    off_a = SwapStep(remove=(0, 1), add=(1, 1), improvement=1)
+
+    def staying_move(self, j, from_r, to_r):
+        return real_move(self, j, from_r, from_r)
+
+    def drifting_move(self, j, from_r, to_r):
+        unit = real_move(self, j, from_r, to_r)
+        self.loads[0] += 1
+        return unit
+
+    broken = [
+        # player 0, alone on a after insertion 1, is offered a move off it
+        (
+            (solver._SettleState, "exchange", lambda self, i: off_a),
+            "the extra unit on resource 0 belongs to the mover 0 itself; "
+            "strategies=[(1, 0), (0, 0)]",
+        ),
+        (
+            (solver, "insertion_step_bound", lambda g: 0),
+            "improvement moves after insertion 2 exceeded the bound 0",
+        ),
+        (
+            (solver, "iteration_bound", lambda g: 0),
+            "total improvement moves exceeded the bound 0",
+        ),
+        # the unit stays on a, which keeps the extra unit
+        (
+            (solver._SettleState, "move", staying_move),
+            "loads (2, 0) are not the settled loads (1, 0) plus one unit on "
+            "resource 1",
+        ),
+        # the strategies are right, the tracked loads one unit high on a
+        (
+            (solver._SettleState, "move", drifting_move),
+            "tracked loads (2, 1) are not the loads (1, 1) summed from the "
+            "strategies",
+        ),
+    ]
+    for (target, name, fake), message in broken:
+        with monkeypatch.context() as patched:
+            patched.setattr(target, name, fake)
+            with pytest.raises(InvariantError) as err:
+                compute_pne(_arrival_game())
+        assert str(err.value) == message
+    profile, _ = compute_pne(_arrival_game())
+    assert profile.strategies == ((0, 1), (1, 0))
 
 
 def _reference_move(g, p, over):
@@ -410,25 +478,31 @@ def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
 ):
     g = gen_random(seed, n, m, max_demand, family)
     insertions, searches, states = [], [], []
-    real_extend, real_first_move = (
-        solver._SettleState.extend,
+    real_insert, real_first_move = (
+        solver._SettleState.insert,
         solver._SettleState.first_move,
     )
 
-    def extend(self, i, x, loads):
-        r = real_extend(self, i, x, loads)
+    def insert(self, i):
+        x, loads = self.strategies[i], tuple(self.loads)
+        r = real_insert(self, i)
         insertions.append((i, x, loads, r))
         states.append(self)
         return r
 
-    def first_move(self, p, over):
-        found = real_first_move(self, p, over)
+    def first_move(self, over):
+        # every state is searched once: its homes and loads match its strategies
+        for homes, x in zip(self.homes, self.strategies):
+            assert Counter(homes) == Counter({r: c for r, c in enumerate(x) if c})
+        assert self.loads == [sum(column) for column in zip(*self.strategies)]
+        p = Profile(tuple(self.strategies))
+        found = real_first_move(self, over)
         searches.append((p, over, found))
         states.append(self)
         return found
 
     with (
-        patch.object(solver._SettleState, "extend", extend),
+        patch.object(solver._SettleState, "insert", insert),
         patch.object(solver._SettleState, "first_move", first_move),
     ):
         compute_pne(g, SolverPolicy(selection, seed=seed))
@@ -506,17 +580,10 @@ def test_a_solve_builds_each_weight_row_once_and_a_tight_set_pass_per_new_x(
 def test_the_debug_solve_compares_the_settle_search_with_the_reference_scan(
     monkeypatch,
 ):
-    # the game of test_arrival_displaces_a_settled_player_in_one_move, whose
-    # one move the crippled search misses
-    f = RankFunction((0, 1, 1, 1))
-    g = GameInstance(
-        ("a", "b"),
-        (1, 1),
-        (f, f),
-        (((0, 1, 10), (0, 3, 3)), ((0, 1, 2), (0, 9, 9))),
-    )
+    # the crippled search misses the arrival game's one move
+    g = _arrival_game()
     monkeypatch.setattr(
-        solver._SettleState, "first_move", lambda self, p, over: (None, None)
+        solver._SettleState, "first_move", lambda self, over: (None, None)
     )
     compute_pne(g)  # without the comparison the missed move goes unnoticed
     with pytest.raises(InvariantError, match="settle search found"):
@@ -546,40 +613,3 @@ def test_settle_state_rows_raise_the_induced_weights_errors():
     assert str(fresh.value) == (
         "player 0 cost table on 'a' covers loads up to 2, but weights need 3"
     )
-
-
-def test_check_move_names_each_broken_invariant():
-    p = Profile(((1, 0), (1, 0)))  # player 1's unit is the extra one on a
-    off_a = SwapStep(remove=(0, 1), add=(1, 1), improvement=1)
-    off_b = SwapStep(remove=(1, 1), add=(0, 2), improvement=1)
-    caps = dict(step_cap=5, total_cap=9)
-    after = solver._check_move(p, 1, off_a, 0, (1, 0), 2, 1, 1, **caps)
-    assert after == Profile(((1, 0), (0, 1)))
-    broken = [
-        # the mover owns the only unit on a
-        (
-            (Profile(((1, 0), (0, 0))), 0, off_a, 0, (0, 0), 1, 1, 1),
-            "the extra unit on resource 0 belongs to the mover 0 itself; "
-            "strategies=[(1, 0), (0, 0)]",
-        ),
-        (
-            (Profile(((1, 1), (1, 0))), 0, off_b, 0, (1, 1), 1, 1, 1),
-            "improvement move leaves resource 1, expected the overloaded resource 0",
-        ),
-        (
-            (p, 1, off_a, 0, (1, 0), 2, 6, 6),
-            "improvement moves after insertion 2 exceeded the bound 5",
-        ),
-        (
-            (p, 1, off_a, 0, (1, 0), 2, 1, 10),
-            "total improvement moves exceeded the bound 9",
-        ),
-        (
-            (p, 1, off_a, 0, (0, 0), 2, 1, 1),
-            "loads (1, 1) are not the settled loads (0, 0) plus one unit on resource 1",
-        ),
-    ]
-    for args, message in broken:
-        with pytest.raises(InvariantError) as err:
-            solver._check_move(*args, **caps)
-        assert str(err.value) == message

@@ -122,7 +122,7 @@ def _reference_best_exchange(f, x, w):
         for s in range(f.m):
             if s == r or not x[r] or x[s] + 1 > w.length(s):
                 continue
-            saving = w.weight(r, x[r]) - w.weight(s, x[s] + 1)
+            saving = w.weights[r][x[r] - 1] - w.weights[s][x[s]]
             if saving <= 0 or not member_polytope(f, _stepped(x, remove=r, add=s)):
                 continue
             if best is None or saving > best[2]:
