@@ -10,11 +10,10 @@ grows, and repaired by one swap when the weights of a single chain rise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
-from .game import GameInstance, Profile, WeightedGround, _weight_row, induced_weights
+from .game import GameInstance, Profile, WeightedGround, induced_weights
 from .rank import (
     RankFunction,
     TightSets,
@@ -80,25 +79,32 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
 def _extend_once(
     f: RankFunction, w: WeightedGround, counts: tuple[int, ...]
 ) -> tuple[int, ...]:
-    r = _cheapest_addition(counts, w.weights, tight_sets(f, counts))
+    tight = _tight_inside(f, counts)
+    r = _cheapest_addition(_row_prices(w.weights, counts)[1], tight)
     return counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
 
 
-def _cheapest_addition(
-    counts: tuple[int, ...], rows: Sequence[Sequence[int]], tight: TightSets
-) -> int:
+def _row_prices(
+    rows: Sequence[Sequence[int]], counts: tuple[int, ...]
+) -> tuple[list[int | None], list[int | None]]:
+    """Each chain's top held weight and next free weight, None where there is none."""
+    return (
+        [row[c - 1] if c else None for row, c in zip(rows, counts)],
+        [row[c] if c < len(row) else None for row, c in zip(rows, counts)],
+    )
+
+
+def _cheapest_addition(nxt: Sequence[int | None], tight: TightSets) -> int:
     """Resource of the cheapest feasible next chain position, lowest index on ties.
 
-    ``tight`` must be the tight sets of ``counts``. Raises
-    InfeasibleTruncationError when ``counts`` lies outside the polytope or no
-    chain has a feasible position left within its row.
+    ``nxt[r]`` prices the next free position on r (None when the chain is
+    full); ``tight`` holds the tight sets of a vector inside the polytope.
+    Raises InfeasibleTruncationError when no chain can take a unit.
     """
     best: tuple[int, int] | None = None  # (weight, resource)
-    for r, c in enumerate(counts):
-        if tight.feasible and c < len(rows[r]) and tight.can_add(r):
-            wt = rows[r][c]
-            if best is None or wt < best[0]:
-                best = (wt, r)
+    for r, wt in enumerate(nxt):
+        if wt is not None and tight.can_add(r) and (best is None or wt < best[0]):
+            best = (wt, r)
     if best is None:
         raise InfeasibleTruncationError(
             "no feasible addition exists; the demand exceeds the ground rank"
@@ -153,7 +159,7 @@ def local_improvement(
     counts = tuple(int(v) for v in counts)
     tight = _tight_inside(f, counts)
     _require_coverage(f, w, sum(counts))
-    return _best_exchange(counts, w.weights, tight)
+    return _best_exchange(counts, *_row_prices(w.weights, counts), tight)
 
 
 def _tight_inside(f: RankFunction, x: tuple[int, ...]) -> TightSets:
@@ -165,22 +171,22 @@ def _tight_inside(f: RankFunction, x: tuple[int, ...]) -> TightSets:
 
 
 def _best_exchange(
-    counts: tuple[int, ...], rows: Sequence[Sequence[int]], tight: TightSets
+    counts: tuple[int, ...],
+    top: Sequence[int | None],
+    nxt: Sequence[int | None],
+    tight: TightSets,
 ) -> SwapStep | None:
-    """The exchange loop of :func:`local_improvement`, on raw weight rows.
+    """The exchange loop of :func:`local_improvement`, on two prices per chain.
 
-    ``tight`` must be the tight sets of ``counts``, which lies in the
-    polytope, and each row must cover the positions ``counts`` holds.
-    Positions past the end of a row are never added.
+    ``top[r]`` prices the highest position ``counts`` holds on r (None when
+    it holds none), ``nxt[r]`` the next free one (None when the chain is
+    full). ``tight`` holds the tight sets of ``counts``, inside the polytope.
     """
-    # weight of the next free position of each chain, None past its row
-    w_in = [row[c] if c < len(row) else None for row, c in zip(rows, counts)]
     best: SwapStep | None = None
-    for r, c in enumerate(counts):
+    for r, (c, w_out) in enumerate(zip(counts, top)):
         if c == 0:
             continue
-        w_out = rows[r][c - 1]
-        for s, w_s in enumerate(w_in):
+        for s, w_s in enumerate(nxt):
             if s == r or w_s is None or w_s >= w_out or not tight.can_exchange(r, s):
                 continue
             improvement = w_out - w_s
@@ -199,12 +205,10 @@ class _SettleState:
     unit, per player, in placement order). Only :meth:`insert` and
     :meth:`move` change it, each in two coordinates at most.
 
-    Weight rows are keyed by (player, resource, opponent load) and built once,
-    from the cost table's values, with the range and nondecreasing checks of
-    :func:`~polynash.game.induced_weights`; each row has ``chain_cap``
-    positions, so it covers every chain position the player can reach. Each
-    player's last (x, tight sets) is kept, and the polytope check runs when
-    that entry is built. Insertions and the mover search read both.
+    A player's moves read two prices per resource, both from the cost table
+    at the current load L (see :meth:`prices`). Each player's last
+    (x, tight sets) is kept, and the polytope check runs when that entry is
+    built. Insertions and the mover search read both.
     """
 
     def __init__(self, g: GameInstance) -> None:
@@ -212,22 +216,27 @@ class _SettleState:
         self.strategies: list[tuple[int, ...]] = [(0,) * g.m] * g.n
         self.loads = [0] * g.m
         self.homes: list[list[int]] = [[] for _ in range(g.n)]
+        self._values = [[t.values for t in row] for row in g.costs]
         self._caps = [[g.chain_cap(i, r) for r in range(g.m)] for i in range(g.n)]
-        self._rows: list[list[dict[int, tuple[int, ...]]]] = [
-            [{} for _ in range(g.m)] for _ in range(g.n)
-        ]
         self._tight: list[tuple[tuple[int, ...], TightSets] | None] = [None] * g.n
 
-    def rows(self, i: int, a) -> list[tuple[int, ...]]:
-        """Player i's weight rows at opponent loads ``a``, one per resource."""
-        memo, caps = self._rows[i], self._caps[i]
-        out = []
-        for r, load in enumerate(a):
-            row = memo[r].get(load)
-            if row is None:
-                row = memo[r][load] = _weight_row(self.g, i, r, load, caps[r])
-            out.append(row)
-        return out
+    def prices(
+        self, i: int, x: tuple[int, ...]
+    ) -> tuple[list[int | None], list[int | None]]:
+        """Player i's top and next price per resource, holding x at the current loads.
+
+        At load L, x_r units on r price their top unit at
+        x_r * c(L) - (x_r - 1) * c(L - 1) (None when x_r = 0) and one more at
+        (x_r + 1) * c(L + 1) - x_r * c(L) (None at ``chain_cap``): positions
+        x_r and x_r + 1 of :func:`~polynash.game.induced_weights`, whose range
+        and order checks cannot fail on a validated instance.
+        """
+        top, nxt = [], []
+        for c, cap, load, own in zip(self._values[i], self._caps[i], self.loads, x):
+            here = c[load]
+            top.append(own * here - (own - 1) * c[load - 1] if own else None)
+            nxt.append((own + 1) * c[load + 1] - own * here if own < cap else None)
+        return top, nxt
 
     def tight(self, i: int, x: tuple[int, ...]) -> TightSets:
         """Tight sets of player i's strategy x, which must lie in its polytope."""
@@ -241,8 +250,8 @@ class _SettleState:
     def insert(self, i: int) -> int:
         """Place player i's cheapest feasible extra unit; return its resource."""
         x = self.strategies[i]
-        rows = self.rows(i, map(sub, self.loads, x))
-        r = _cheapest_addition(x, rows, self.tight(i, x))
+        _, nxt = self.prices(i, x)
+        r = _cheapest_addition(nxt, self.tight(i, x))
         self.strategies[i] = x[:r] + (x[r] + 1,) + x[r + 1 :]
         self.loads[r] += 1
         self.homes[i].append(r)
@@ -251,8 +260,7 @@ class _SettleState:
     def exchange(self, i: int) -> SwapStep | None:
         """Player i's best improving exchange against the others' loads, or None."""
         x = self.strategies[i]
-        rows = self.rows(i, map(sub, self.loads, x))
-        return _best_exchange(x, rows, self.tight(i, x))
+        return _best_exchange(x, *self.prices(i, x), self.tight(i, x))
 
     def first_move(self, over: int) -> tuple[int, SwapStep] | tuple[None, None]:
         """The first holder of ``over`` by index with an improving exchange, and it."""

@@ -367,8 +367,10 @@ def induced_weights(g: GameInstance, i: int, a: Sequence[int]) -> WeightedGround
 
         t * c(a_r + t) - (t - 1) * c(a_r + t - 1)
 
-    so prefix sums reproduce the player's exact private cost. For a validated
-    instance the rows come out nondecreasing along each chain.
+    so prefix sums reproduce the player's exact private cost. Each row has
+    ``chain_cap`` positions. CostTableRangeError is raised when a table is too
+    short and AdmissibilityError when a row decreases (a table that is not
+    load-sensitive); neither happens on a validated instance.
     """
     if not 0 <= i < g.n:
         raise MalformedInputError(f"player index {i} out of range")
@@ -377,39 +379,26 @@ def induced_weights(g: GameInstance, i: int, a: Sequence[int]) -> WeightedGround
         raise MalformedInputError(f"load vector has length {len(loads)}, expected {g.m}")
     if any(v < 0 for v in loads):
         raise MalformedInputError("opponent loads must be nonnegative")
-    return WeightedGround(
-        tuple(_weight_row(g, i, r, loads[r], g.chain_cap(i, r)) for r in range(g.m))
-    )
-
-
-def _weight_row(g: GameInstance, i: int, r: int, a: int, length: int) -> tuple[int, ...]:
-    """Row r of player i's induced weights at opponent load a, ``length`` positions.
-
-    Raises CostTableRangeError when the table is too short and
-    AdmissibilityError when the row decreases (a table that is not
-    load-sensitive).
-    """
-    values = g.costs[i][r].values
-    if a + length > len(values) - 1:
-        raise CostTableRangeError(
-            f"player {i} cost table on {g.resources[r]!r} covers loads up to "
-            f"{len(values) - 1}, but weights need {a + length}"
-        )
-    row = tuple(
-        map(
-            sub,
-            map(mul, range(1, length + 1), values[a + 1 : a + length + 1]),
-            map(mul, range(length), values[a : a + length]),
-        )
-    )
-    try:
-        _check_chain(r, row)
-    except AdmissibilityError as exc:
-        raise AdmissibilityError(
-            f"player {i}: {exc}; the instance's cost tables fail the "
-            f"load-sensitivity requirement"
-        ) from None
-    return row
+    rows = []
+    for r, load in enumerate(loads):
+        values, length = g.costs[i][r].values, g.chain_cap(i, r)
+        if load + length > len(values) - 1:
+            raise CostTableRangeError(
+                f"player {i} cost table on {g.resources[r]!r} covers loads up to "
+                f"{len(values) - 1}, but weights need {load + length}"
+            )
+        c = values[load : load + length + 1]  # c[t] is the price at load + t
+        ups = map(mul, range(1, length + 1), c[1:])
+        row = tuple(map(sub, ups, map(mul, range(length), c)))
+        try:
+            _check_chain(r, row)
+        except AdmissibilityError as exc:
+            raise AdmissibilityError(
+                f"player {i}: {exc}; the instance's cost tables fail the "
+                f"load-sensitivity requirement"
+            ) from None
+        rows.append(row)
+    return WeightedGround(tuple(rows))
 
 
 def _check_chain(r: int, row: tuple[int, ...]) -> None:

@@ -49,7 +49,7 @@ class SolverPolicy:
     ``debug_assertions`` adds the expensive checks, once per state: every
     player with a unit is tested from fresh weights by
     :func:`improving_players`, each improvable one required to hold a unit on
-    the overloaded resource; and the solve's memoised mover search must pick
+    the overloaded resource; and the solve's mover search must pick
     the first of them with the exchange :func:`repair_best_response` derives
     for it, which confirms by enumeration that it was optimal one unit earlier.
     """
@@ -238,9 +238,9 @@ def compute_pne(
     The returned profile makes every player's strategy a best response. The
     trace records every insertion and every improvement move together with
     the sorted marginal-cost vector after it. The solve's position (its
-    strategies, loads and unit homes) lives in one settle state, next to that
-    state's memo of weight rows and tight sets; a ``Profile`` is built for the
-    result and, under ``debug_assertions``, for each state's reference check.
+    strategies, loads and unit homes) lives in one settle state, which prices
+    each move from the loads; a ``Profile`` is built for the result and, under
+    ``debug_assertions``, for each state's reference check.
     """
     policy = policy or SolverPolicy()
     events: list[TraceEvent] = []

@@ -290,12 +290,12 @@ def test_the_outside_the_polytope_message():
 
 
 def test_the_no_feasible_addition_message():
-    message = "no feasible addition exists; the demand exceeds the ground rank"
     f = RankFunction((0, 1, 2, 3))  # a alone 1, b alone 2, both 3
-    with pytest.raises(InfeasibleTruncationError) as err:
+    with pytest.raises(ContractError) as err:
         # demand 3 is within the rank, but (2, 0) already overfills a
         extend_best_response(f, WeightedGround(((1,), (1, 2))), (2, 0))
-    assert str(err.value) == message
+    assert str(err.value) == "count vector (2, 0) lies outside the polytope"
+    message = "no feasible addition exists; the demand exceeds the ground rank"
     settle = solver._SettleState(_one_player_on(F_AB))
     settle.insert(0), settle.insert(0)
     assert settle.strategies == [(1, 1)]  # a full base: a and b together hold 2

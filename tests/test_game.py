@@ -164,6 +164,34 @@ def test_induced_weights_table_overflow():
         induced_weights(g, 0, (1,))  # needs load 3, table stops at 2
 
 
+def _unvalidated_twin(g, costs):
+    """``g`` with its cost tables replaced, bypassing instance validation."""
+    object.__setattr__(g, "costs", tuple(tuple(map(CostTable, row)) for row in costs))
+    return g
+
+
+def test_induced_weights_names_the_player_of_a_short_or_decreasing_table():
+    f = RankFunction((0, 3))
+    decreasing = _unvalidated_twin(
+        GameInstance(("a",), (3,), (f,), (((0, 1, 2, 3),),)), (((0, 0, 10, 10),),)
+    )
+    short = _unvalidated_twin(
+        GameInstance(("a",), (3,), (f,), (((0, 1, 2, 3),),)), (((0, 0, 10),),)
+    )
+    with pytest.raises(AdmissibilityError) as err:
+        induced_weights(decreasing, 0, (0,))
+    assert str(err.value) == (
+        "player 0: weights decrease along the chain of resource 0: position 2 "
+        "has 20, position 3 has 10; the instance's cost tables fail the "
+        "load-sensitivity requirement"
+    )
+    with pytest.raises(CostTableRangeError) as err:
+        induced_weights(short, 0, (0,))
+    assert str(err.value) == (
+        "player 0 cost table on 'a' covers loads up to 2, but weights need 3"
+    )
+
+
 def test_weighted_ground_rejects_decreasing_chains():
     with pytest.raises(AdmissibilityError):
         WeightedGround(((3, 1),))

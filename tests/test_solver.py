@@ -1,5 +1,6 @@
 """The insertion solver: marginal costs, bounds, policies, and run invariants."""
 
+import random
 from collections import Counter
 from operator import sub
 from unittest.mock import patch
@@ -9,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynash import (
-    AdmissibilityError,
-    CostTable,
     CostTableRangeError,
     GameInstance,
     InvariantError,
@@ -31,7 +30,7 @@ from polynash import (
     verify_pne,
 )
 from polynash import bestresponse, solver
-from polynash.generators import gen_random
+from polynash.generators import gen_random, gen_singleton, random_convex_table
 from polynash.serialize import write_profile, write_trace
 from polynash.solver import (
     EVENT_DEMAND_INCREASE,
@@ -308,6 +307,9 @@ def test_default_solve_moves_without_best_response_tests_or_repairs(monkeypatch)
     monkeypatch.setattr(solver, "repair_best_response", forbidden)
     monkeypatch.setattr(solver, "is_best_response", forbidden, raising=False)
     monkeypatch.setattr(bestresponse, "is_best_response", forbidden)
+    # nor from weight rows: the settle state prices its moves from the loads
+    monkeypatch.setattr(solver, "induced_weights", forbidden)
+    monkeypatch.setattr(bestresponse, "induced_weights", forbidden)
     moves = 0
     for seed in range(30):
         g = gen_random(seed, 3, 3, 3)
@@ -464,19 +466,37 @@ def _reference_move(g, p, over):
     return k, local_improvement(g.ranks[k], x, induced_weights(g, k, a))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+def _free_split_game(seed, n, m):
+    """A ``gen_singleton`` game: n players, m resources, demands up to 10."""
+    rng = random.Random(seed)
+    demands = [rng.randint(1, 10) for _ in range(n)]
+    sets = [rng.sample(range(m), rng.randint(1, m)) for _ in range(n)]
+    total = sum(demands)
+    costs = [
+        [random_convex_table(rng, total + 1).values for _ in range(m)]
+        for _ in range(n)
+    ]
+    return gen_singleton(sets, demands, costs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 10**6),
     n=st.integers(1, 5),
     m=st.integers(1, 5),
     max_demand=st.integers(1, 3),
-    family=st.sampled_from(("convex_nondecreasing", "truncated_ssc")),
+    family=st.sampled_from(("convex_nondecreasing", "truncated_ssc", "free_split")),
     selection=st.sampled_from(("min_index", "round_robin", "seeded_random")),
 )
 def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
     seed, n, m, max_demand, family, selection
 ):
-    g = gen_random(seed, n, m, max_demand, family)
+    # free-split games hold chains up to 10 long, so the settle state's prices
+    # meet positions far past the gen_random demand cap of 3
+    if family == "free_split":
+        g = _free_split_game(seed, min(n, 4), min(m, 4))
+    else:
+        g = gen_random(seed, n, m, max_demand, family)
     insertions, searches, states = [], [], []
     real_insert, real_first_move = (
         solver._SettleState.insert,
@@ -495,6 +515,13 @@ def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
         for homes, x in zip(self.homes, self.strategies):
             assert Counter(homes) == Counter({r: c for r, c in enumerate(x) if c})
         assert self.loads == [sum(column) for column in zip(*self.strategies)]
+        # each player's two prices per resource are positions x_r and x_r + 1
+        # of its fresh weight rows
+        for i, x in enumerate(self.strategies):
+            rows = induced_weights(g, i, tuple(map(sub, self.loads, x))).weights
+            top = [row[c - 1] if c else None for row, c in zip(rows, x)]
+            nxt = [row[c] if c < len(row) else None for row, c in zip(rows, x)]
+            assert self.prices(i, x) == (top, nxt), (i, x, self.loads)
         p = Profile(tuple(self.strategies))
         found = real_first_move(self, over)
         searches.append((p, over, found))
@@ -514,30 +541,13 @@ def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
         assert extend_best_response(g.ranks[i], w, x) == grown, (i, x, loads)
     for p, over, found in searches:
         assert found == _reference_move(g, p, over), (p, over)
-    rows = 0
-    for i, per_resource in enumerate(states[0]._rows):
-        for r, memo in enumerate(per_resource):
-            for a, row in memo.items():
-                loads = tuple(a if s == r else 0 for s in range(g.m))
-                assert row == induced_weights(g, i, loads).weights[r]
-                rows += 1
-    assert rows > 0
 
 
-def test_a_solve_builds_each_weight_row_once_and_a_tight_set_pass_per_new_x(
-    monkeypatch,
-):
-    # every weight row is built once per (player, resource, opponent load);
+def test_a_solve_runs_a_tight_set_pass_only_for_a_new_x(monkeypatch):
     # a tight-set pass runs only when the player's x differs from the x of
     # its previous pass
-    looked_up, passes, built = [], [], []
-    real_rows, real_tight = solver._SettleState.rows, solver._SettleState.tight
-    real_pass, real_row = bestresponse.tight_sets, bestresponse._weight_row
-
-    def rows(self, i, a):
-        a = tuple(a)
-        looked_up.extend((i, r, load) for r, load in enumerate(a))
-        return real_rows(self, i, a)
+    passes = []
+    real_tight, real_pass = solver._SettleState.tight, bestresponse.tight_sets
 
     def tight(self, i, x):
         passes.append(("lookup", i, x))
@@ -547,21 +557,13 @@ def test_a_solve_builds_each_weight_row_once_and_a_tight_set_pass_per_new_x(
         passes.append(("pass", x))
         return real_pass(f, x)
 
-    def weight_row(g, i, r, a, length):
-        built.append((i, r, a))
-        return real_row(g, i, r, a, length)
-
-    monkeypatch.setattr(solver._SettleState, "rows", rows)
     monkeypatch.setattr(solver._SettleState, "tight", tight)
     monkeypatch.setattr(bestresponse, "tight_sets", tight_pass)
-    monkeypatch.setattr(bestresponse, "_weight_row", weight_row)
-    reused_rows = reused_passes = 0
+    reused_passes = 0
     for seed in range(40):
         g = gen_random(seed, 4, 3, 3)
-        looked_up.clear(), passes.clear(), built.clear()
+        passes.clear()
         compute_pne(g)
-        assert sorted(built) == sorted(set(looked_up))
-        reused_rows += len(looked_up) - len(built)
         last = {}
         expected = []
         for kind, *rest in passes:
@@ -574,7 +576,7 @@ def test_a_solve_builds_each_weight_row_once_and_a_tight_set_pass_per_new_x(
                     expected.append(("lookup", i, x))
                     reused_passes += 1
         assert passes == expected
-    assert reused_rows > 0 and reused_passes > 0
+    assert reused_passes > 0
 
 
 def test_the_debug_solve_compares_the_settle_search_with_the_reference_scan(
@@ -590,26 +592,3 @@ def test_the_debug_solve_compares_the_settle_search_with_the_reference_scan(
         compute_pne(g, SolverPolicy(debug_assertions=True))
 
 
-def _unvalidated_twin(g, costs):
-    """``g`` with its cost tables replaced, bypassing instance validation."""
-    object.__setattr__(g, "costs", tuple(tuple(map(CostTable, row)) for row in costs))
-    return g
-
-
-def test_settle_state_rows_raise_the_induced_weights_errors():
-    f = RankFunction((0, 3))
-    decreasing = _unvalidated_twin(
-        GameInstance(("a",), (3,), (f,), (((0, 1, 2, 3),),)), (((0, 0, 10, 10),),)
-    )
-    short = _unvalidated_twin(
-        GameInstance(("a",), (3,), (f,), (((0, 1, 2, 3),),)), (((0, 0, 10),),)
-    )
-    for g, error in ((decreasing, AdmissibilityError), (short, CostTableRangeError)):
-        with pytest.raises(error) as fresh:
-            induced_weights(g, 0, (0,))
-        with pytest.raises(error) as memoised:
-            solver._SettleState(g).rows(0, (0,))
-        assert str(memoised.value) == str(fresh.value)
-    assert str(fresh.value) == (
-        "player 0 cost table on 'a' covers loads up to 2, but weights need 3"
-    )
