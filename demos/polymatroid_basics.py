@@ -16,12 +16,11 @@ from polynash import (
 
 # capacities: a alone holds 2 units, b alone 1, together still only 2
 f = RankFunction((0, 2, 1, 2))
-print("validation:", validate_rank(f))
+print("validation witness (None when valid):", validate_rank(f))
 
 # a broken table: 1 + 1 < 3 + 0 violates the diminishing-returns inequality
 broken = RankFunction((0, 1, 1, 3))
-report = validate_rank(broken)
-print("broken table ok?", report.ok, "->", report.violations)
+print("broken table witness:", validate_rank(broken))
 
 print("\nmembership against every subset capacity:")
 for vector in ((1, 1), (2, 0), (0, 2)):

@@ -57,7 +57,6 @@ from .oracle import (
 )
 from .rank import (
     RankFunction,
-    RankReport,
     TightSets,
     enumerate_base,
     member_base,
@@ -104,7 +103,6 @@ __all__ = [
     "ParseError",
     "Profile",
     "RankFunction",
-    "RankReport",
     "SolverPolicy",
     "SwapStep",
     "TightSets",

@@ -13,18 +13,7 @@ import random
 import sys
 from pathlib import Path
 
-from .errors import (
-    AdmissibilityError,
-    ContractError,
-    CostTableRangeError,
-    EnumerationTooLargeError,
-    GenerationError,
-    InfeasibleTruncationError,
-    InvariantError,
-    MalformedInputError,
-    ParseError,
-    ValidationError,
-)
+from .errors import ContractError, GameError, InvariantError, ParseError
 from .generators import (
     MatroidSpec,
     _random_walk_table,
@@ -53,18 +42,6 @@ EXIT_INTERNAL = 4
 # parsing a document takes several times its size in memory, so a larger
 # file is refused before it is read
 _MAX_DOCUMENT_BYTES = 256 * 2**20
-
-_INVALID_ERRORS = (
-    ParseError,
-    ValidationError,
-    MalformedInputError,
-    InfeasibleTruncationError,
-    CostTableRangeError,
-    AdmissibilityError,
-    EnumerationTooLargeError,
-    GenerationError,
-)
-_INTERNAL_ERRORS = (InvariantError, ContractError)
 
 _POLICY_NAMES = {
     "min_index": "min_index",
@@ -392,12 +369,12 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _INVALID_ERRORS as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except _INTERNAL_ERRORS as exc:
+    except (InvariantError, ContractError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except GameError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def entrypoint() -> None:

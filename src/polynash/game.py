@@ -264,9 +264,9 @@ class GameInstance:
                     f"player {i} rank table covers {f.m} resources, expected {m}",
                     witness=("rank_shape", i),
                 )
-            report = validate_rank(f)
-            if not report.ok:
-                prop, u, v = report.violations[0]
+            violation = validate_rank(f)
+            if violation is not None:
+                prop, u, v = violation
                 raise ValidationError(
                     f"player {i} rank table is not {prop}: "
                     f"witness subsets {{{self.subset_label(u)}}} and "
@@ -389,16 +389,14 @@ def induced_weights(g: GameInstance, i: int, a: Sequence[int]) -> WeightedGround
             )
         c = values[load : load + length + 1]  # c[t] is the price at load + t
         ups = map(mul, range(1, length + 1), c[1:])
-        row = tuple(map(sub, ups, map(mul, range(length), c)))
-        try:
-            _check_chain(r, row)
-        except AdmissibilityError as exc:
-            raise AdmissibilityError(
-                f"player {i}: {exc}; the instance's cost tables fail the "
-                f"load-sensitivity requirement"
-            ) from None
-        rows.append(row)
-    return WeightedGround(tuple(rows))
+        rows.append(tuple(map(sub, ups, map(mul, range(length), c))))
+    try:
+        return WeightedGround(tuple(rows))
+    except AdmissibilityError as exc:
+        raise AdmissibilityError(
+            f"player {i}: {exc}; the instance's cost tables fail the "
+            f"load-sensitivity requirement"
+        ) from None
 
 
 def _check_chain(r: int, row: tuple[int, ...]) -> None:

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 from .errors import GenerationError, InvariantError, MalformedInputError
 from .game import CostTable, GameInstance, find_ssc_violation
 from .rank import MAX_RESOURCES as MAX_TABLE_RESOURCES
-from .rank import RankFunction, _local_differences_ok, validate_rank
+from .rank import RankFunction, validate_rank
 
 __all__ = [
     "MatroidSpec",
@@ -274,9 +274,9 @@ def random_rank(rng: random.Random, m: int, max_chain: int = 3) -> RankFunction:
         if nudged[mask] < 0:
             continue
         trial = RankFunction(tuple(nudged))
-        if trial.rank_of_all >= 1 and _local_differences_ok(trial.values, trial.m):
+        if trial.rank_of_all >= 1 and validate_rank(trial) is None:
             f = trial
-    assert validate_rank(f).ok
+    assert validate_rank(f) is None
     return f
 
 

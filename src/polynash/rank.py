@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import and_, eq, gt, lt, or_, sub
 from typing import Sequence
 
@@ -68,77 +68,67 @@ class RankFunction:
         return self.values[1 << r]
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """Outcome of validate_rank: ok, or every violated inequality.
+def validate_rank(f: RankFunction) -> tuple[str, int, int] | None:
+    """Check that f is normalized, monotone, and submodular; name a violation.
 
-    Violations are (property, U, V) triples with U, V the witnessing subset
-    bitmasks; for the normalization check both are 0.
-    """
-
-    ok: bool
-    violations: tuple[tuple[str, int, int], ...]
-
-
-def validate_rank(f: RankFunction) -> RankReport:
-    """Check that f is normalized, monotone, and submodular.
+    Returns None for a polymatroid, else a witness triple of subset bitmasks:
+    ``("normalized", 0, 0)``, ``("monotone", U, U + {j})`` or
+    ``("submodular", U + {j}, U + {k})``.
 
     Monotonicity is tested on all single-element extensions (U, U + {j}) and
     submodularity on all pairs (U + {j}, U + {k}) of extensions of a common
     U; both local families are equivalent to the unrestricted definitions.
 
-    An accepting pass decides validity first, in O(m^2 * 2^m) C-level steps:
-    for each j the differences d_j(U) = f(U + {j}) - f(U) over U without j
-    must be nonnegative (monotone) and must not grow when any k > j joins U
-    (the local submodular inequality, symmetric in j and k). Only when it
-    rejects does the subset-by-subset scan run, to list every violation in
-    increasing bitmask order of the base subset.
+    One pass decides validity in O(m^2 * 2^m) C-level steps: for each j the
+    differences d_j(U) = f(U + {j}) - f(U) over U without j must be
+    nonnegative (monotone) and must not grow when any k > j joins U (the
+    local submodular inequality, symmetric in j and k). The checks run in
+    this order: normalization; then for each resource j in turn,
+    monotonicity at j followed by submodularity at (j, k) for k = j + 1, ...,
+    m - 1. The witness comes from the first check that fails, at its
+    smallest base subset U.
     """
-    if _local_differences_ok(f.values, f.m):
-        return RankReport(ok=True, violations=())
-    violations = _rank_violations(f)
-    return RankReport(ok=not violations, violations=violations)
-
-
-def _local_differences_ok(values: Sequence[int], m: int) -> bool:
+    values = f.values
     if values[0] != 0:
-        return False
+        return ("normalized", 0, 0)
+    m = f.m
     half = len(values) >> 1
     quarter = half >> 1
     table = list(values)
     for j in range(m):
         # L[0::2] + L[1::2] rotates the bit order of a mask-indexed list: old
         # bit 0 becomes the top bit, old bit i + 1 becomes bit i. After j + 1
-        # rotations the top bit is bit j, so the halves hold U and U + {j}.
+        # rotations position t holds mask rotl_m(t, j + 1), so the top bit is
+        # bit j and the halves hold U and U + {j}.
         table = table[0::2] + table[1::2]
         diffs = list(map(sub, table[half:], table[:half]))
         if min(diffs) < 0:
-            return False
-        # bits j + 1, ..., m - 1 reach the top of diffs in turn
-        for _ in range(j + 1, m):
+            u = _mask_order(list(map(gt, repeat(0), diffs)), m - j - 1).index(True)
+            return ("monotone", u, u | 1 << j)
+        # after k - j more rotations position q of diffs holds base
+        # U = rotl_m(rotl_{m-1}(q, k - j), j + 1), and its top bit is bit k
+        for k in range(j + 1, m):
             diffs = diffs[0::2] + diffs[1::2]
             if any(map(lt, diffs[:quarter], diffs[quarter:])):
-                return False
-    return True
+                grows = list(map(lt, diffs[:quarter], diffs[quarter:]))
+                # back to the order of d_j's positions t, then to mask order
+                by_t = _mask_order(grows, m - 1 - (k - j))
+                u = _mask_order(by_t, m - j - 1).index(True)
+                return ("submodular", u | 1 << j, u | 1 << k)
+    return None
 
 
-def _rank_violations(f: RankFunction) -> tuple[tuple[str, int, int], ...]:
-    values = f.values
-    m = f.m
-    violations: list[tuple[str, int, int]] = []
-    if values[0] != 0:
-        violations.append(("normalized", 0, 0))
-    for base in range(len(values)):
-        free = [j for j in range(m) if not base >> j & 1]
-        for idx, j in enumerate(free):
-            with_j = base | 1 << j
-            if values[base] > values[with_j]:
-                violations.append(("monotone", base, with_j))
-            for k in free[idx + 1 :]:
-                with_k = base | 1 << k
-                if values[with_j] + values[with_k] < values[with_j | with_k] + values[base]:
-                    violations.append(("submodular", with_j, with_k))
-    return tuple(violations)
+def _mask_order(low: list[bool], turns: int) -> list[bool]:
+    """Flags on the lower half of a rotated list, padded and rotated back into mask order.
+
+    ``low`` covers the positions without the top bit of a list that lacks
+    ``turns`` rotations of a full cycle. The upper half is padded with False
+    and the missing rotations are applied, so position t then holds mask t.
+    """
+    flags = low + [False] * len(low)
+    for _ in range(turns):
+        flags = flags[0::2] + flags[1::2]
+    return flags
 
 
 def _checked_vector(f: RankFunction, x: Sequence[int]) -> tuple[int, ...]:

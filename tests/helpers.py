@@ -3,6 +3,8 @@
 Everything here re-derives results from the raw definitions (full subset
 pair scans, product enumeration of count vectors, direct quadruple scans)
 without calling the library code paths it is used to check.
+``_rank_violations`` lists every violated local rank inequality, in
+increasing order of the base subset; ``validate_rank`` names one of them.
 """
 
 from __future__ import annotations
@@ -10,6 +12,10 @@ from __future__ import annotations
 import json
 import random
 from itertools import product
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from polynash import RankFunction
 
 
 def full_pair_rank_ok(values) -> bool:
@@ -24,6 +30,25 @@ def full_pair_rank_ok(values) -> bool:
             if values[u] + values[v] < values[u | v] + values[u & v]:
                 return False
     return True
+
+
+def _rank_violations(f: RankFunction) -> tuple[tuple[str, int, int], ...]:
+    values = f.values
+    m = f.m
+    violations: list[tuple[str, int, int]] = []
+    if values[0] != 0:
+        violations.append(("normalized", 0, 0))
+    for base in range(len(values)):
+        free = [j for j in range(m) if not base >> j & 1]
+        for idx, j in enumerate(free):
+            with_j = base | 1 << j
+            if values[base] > values[with_j]:
+                violations.append(("monotone", base, with_j))
+            for k in free[idx + 1 :]:
+                with_k = base | 1 << k
+                if values[with_j] + values[with_k] < values[with_j | with_k] + values[base]:
+                    violations.append(("submodular", with_j, with_k))
+    return tuple(violations)
 
 
 def feasible_vectors(values, d) -> list[tuple[int, ...]]:

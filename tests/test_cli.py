@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from polynash import MatroidSpec, generators, parse_instance
+from polynash import MatroidSpec, cli, errors, generators, parse_instance
 from polynash.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_USAGE,
@@ -423,3 +424,24 @@ def test_gen_matroid_builds_each_rank_table_once(tmp_path, monkeypatch):
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert built == ["uniform", "partition", "graphic"] * 2
     assert digests == GEN_MATROID_DIGESTS
+
+
+# GameError itself and every subclass the package defines
+GAME_ERRORS = sorted(
+    (cls for cls in vars(errors).values()
+     if isinstance(cls, type) and issubclass(cls, errors.GameError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", GAME_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_package_error_maps_to_an_exit_code(error, instance_path, monkeypatch, capsys):
+    def raising(data):
+        raise error("raised for the exit-code table")
+
+    monkeypatch.setattr(cli, "parse_instance", raising)
+    internal = issubclass(error, (errors.InvariantError, errors.ContractError))
+    assert main(["check", "--instance", str(instance_path)]) == (
+        EXIT_INTERNAL if internal else EXIT_INVALID
+    )
+    assert "raised for the exit-code table" in capsys.readouterr().err

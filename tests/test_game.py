@@ -246,8 +246,8 @@ def test_instance_validation_rejects_bad_rank():
         ),
         (
             (0, 1, 1, 2, 1, 2, 2, 1),
-            ("rank", 0, "monotone", 3, 7),
-            "player 0 rank table is not monotone: witness subsets {a,b} and {a,b,c}",
+            ("rank", 0, "monotone", 6, 7),
+            "player 0 rank table is not monotone: witness subsets {b,c} and {a,b,c}",
         ),
     ],
 )

@@ -40,7 +40,7 @@ def test_singleton_rank_tables():
     g = gen_singleton([[0]], [2], costs, resource_names=("a", "b"))
     f = g.ranks[0]
     assert (f((0b01)), f(0b10), f(0b11)) == (2, 0, 2)
-    assert validate_rank(f).ok
+    assert validate_rank(f) is None
     # allowed everywhere: free split across both resources
     g2 = gen_singleton([[0, 1]], [2], costs, resource_names=("a", "b"))
     assert set(enumerate_base(g2.ranks[0], 2)) == {(0, 2), (1, 1), (2, 0)}
@@ -140,7 +140,7 @@ def test_random_rank_is_always_valid_with_positive_full_rank():
     rng = random.Random(6)
     for _ in range(200):
         f = random_rank(rng, rng.randint(1, 5), max_chain=rng.randint(1, 4))
-        assert validate_rank(f).ok
+        assert validate_rank(f) is None
         assert f.rank_of_all >= 1
 
 

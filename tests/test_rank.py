@@ -43,36 +43,28 @@ def test_rank_function_sets_its_resource_count_once_outside_its_fields():
 
 def test_validate_rank_accepts_the_worked_table():
     assert full_pair_rank_ok(F_AB.values)
-    report = validate_rank(F_AB)
-    assert report.ok
-    assert report.violations == ()
+    assert validate_rank(F_AB) is None
 
 
 def test_validate_rank_accepts_the_zero_function():
-    report = validate_rank(RankFunction((0, 0, 0, 0)))
-    assert report.ok
+    assert validate_rank(RankFunction((0, 0, 0, 0))) is None
 
 
 def test_validate_rank_reports_submodularity_violation():
     f = RankFunction((0, 1, 1, 3))
     assert not full_pair_rank_ok(f.values)
-    report = validate_rank(f)
-    assert not report.ok
-    assert ("submodular", 1, 2) in report.violations
     # monotonicity holds for this table
-    assert not any(prop == "monotone" for prop, _, _ in report.violations)
+    assert validate_rank(f) == ("submodular", 1, 2)
 
 
 def test_validate_rank_reports_monotonicity_violation():
     f = RankFunction((0, 2, 1, 1))
-    report = validate_rank(f)
-    assert not report.ok
-    assert any(prop == "monotone" for prop, _, _ in report.violations)
+    # f({b}) > f({a, b}); monotonicity at a holds
+    assert validate_rank(f) == ("monotone", 1, 3)
 
 
 def test_validate_rank_reports_normalization():
-    report = validate_rank(RankFunction((1, 2)))
-    assert ("normalized", 0, 0) in report.violations
+    assert validate_rank(RankFunction((1, 2))) == ("normalized", 0, 0)
 
 
 def test_validate_rank_agrees_with_full_pair_scan_on_random_tables():
@@ -83,7 +75,7 @@ def test_validate_rank_agrees_with_full_pair_scan_on_random_tables():
         if rng.random() < 0.3:
             values[0] = rng.randint(0, 2)
         f = RankFunction(tuple(values))
-        assert validate_rank(f).ok == full_pair_rank_ok(f.values)
+        assert (validate_rank(f) is None) == full_pair_rank_ok(f.values)
 
 
 def test_member_polytope_examples():

@@ -1,29 +1,29 @@
-"""The accepting passes of instance validation against the full scans.
+"""The one-pass checks of instance validation against the full scans.
 
-``validate_rank`` first runs a cheap pass that only accepts or rejects,
-and falls back to its subset scan to name a witness. ``find_ssc_violation``
-names its witness from its one linear pass. These checks compare both
-answers with the independent oracles of ``helpers``, on tables near the
-boundary of validity: generated valid tables nudged by one unit, up to six
-resources so that every bit of the difference bookkeeping is exercised.
+``validate_rank`` and ``find_ssc_violation`` each decide validity and name
+their witness in one pass. These checks compare both answers with the
+independent oracles of ``helpers``: the verdict with the full definitions,
+and the witness with the list of every violation. The tables lie near the
+boundary of validity: generated valid tables nudged by one unit, up to
+eight resources so that every rotation count of the rank pass's index
+bookkeeping is exercised.
 """
 
 from itertools import accumulate, product
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polynash import RankFunction, find_ssc_violation, validate_rank
 from polynash.generators import random_rank
-from polynash.rank import _local_differences_ok, _rank_violations
 
-from helpers import full_pair_rank_ok, neighbour_bills_monotone, ssc_ok
+from helpers import _rank_violations, full_pair_rank_ok, neighbour_bills_monotone, ssc_ok
 
 DIFFERENTIAL = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 @st.composite
-def near_valid_rank(draw, max_m=6):
+def near_valid_rank(draw, max_m=8):
     """A generated polymatroid with at most one entry moved by one unit."""
     rng = draw(st.randoms(use_true_random=False))
     values = list(random_rank(rng, draw(st.integers(1, max_m))).values)
@@ -34,7 +34,7 @@ def near_valid_rank(draw, max_m=6):
 
 
 @st.composite
-def any_rank(draw, max_m=6):
+def any_rank(draw, max_m=8):
     m = draw(st.integers(0, max_m))
     entries = st.integers(0, 2 + m)
     return RankFunction(tuple(draw(st.lists(entries, min_size=1 << m, max_size=1 << m))))
@@ -42,13 +42,30 @@ def any_rank(draw, max_m=6):
 
 @DIFFERENTIAL
 @given(st.one_of(near_valid_rank(), any_rank()))
+# zero and one resource: only normalization can fail
+@example(RankFunction((0,)))
+@example(RankFunction((1,)))
+@example(RankFunction((0, 0)))
+@example(RankFunction((2, 1)))
 def test_validate_rank_matches_the_full_pair_definitions(f):
-    report = validate_rank(f)
-    assert report.ok == full_pair_rank_ok(f.values)
-    # exact, not merely safe: a pass that rejects valid tables would fall
-    # back to the scan and still answer right, only slowly
-    assert _local_differences_ok(f.values, f.m) == report.ok
-    assert report.violations == _rank_violations(f)
+    witness = validate_rank(f)
+    assert (witness is None) == full_pair_rank_ok(f.values)
+    if witness is not None:
+        violations = _rank_violations(f)
+        assert witness in violations
+        assert witness == min(violations, key=_pass_order)
+
+
+def _pass_order(violation):
+    """Where the one pass meets a violation: normalization; then per j,
+    monotonicity at j and submodularity at (j, k) for k > j; then the base."""
+    prop, u, v = violation
+    if prop == "normalized":
+        return (-1, 0, 0)
+    if prop == "monotone":
+        return ((u ^ v).bit_length() - 1, 0, u)
+    base = u & v
+    return ((u ^ base).bit_length() - 1, (v ^ base).bit_length() - 1, base)
 
 
 def test_validate_rank_catches_a_nudge_on_every_subset():
@@ -64,9 +81,20 @@ def test_validate_rank_catches_a_nudge_on_every_subset():
             if nudged[mask] < 0:
                 continue
             f = RankFunction(tuple(nudged))
-            ok = validate_rank(f).ok
-            assert ok == full_pair_rank_ok(f.values)
-            assert ok == (bin(mask).count("1") == keeps_valid)
+            witness = validate_rank(f)
+            assert (witness is None) == full_pair_rank_ok(f.values)
+            assert (witness is None) == (bin(mask).count("1") == keeps_valid)
+            if witness is not None:
+                assert _violates(nudged, *witness)
+
+
+def _violates(values, prop, u, v):
+    """Whether the witness triple breaks its inequality on the table."""
+    if prop == "normalized":
+        return values[0] != 0
+    if prop == "monotone":
+        return u | v == v and values[u] > values[v]
+    return values[u] + values[v] < values[u | v] + values[u & v]
 
 
 @st.composite
