@@ -9,10 +9,12 @@ inputs.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
-from operator import and_, eq, gt, lt, or_, sub
+from itertools import compress
+from operator import and_, or_
 from typing import Sequence
 
 from .errors import (
@@ -22,15 +24,28 @@ from .errors import (
 )
 
 MAX_RESOURCES = 20
+MAX_RANK_ENTRY = 2**63 - 1
+
+# unsigned array type code for each packed field width, in bits
+_TYPECODES = {array(code).itemsize * 8: code for code in "BHILQ"}
 
 
 @dataclass(frozen=True)
 class RankFunction:
     """Integer set function f: 2^R -> N as an explicit bitmask-indexed table.
 
-    Construction checks shape only; use :func:`validate_rank` to test the
-    polymatroid properties (normalized, monotone, submodular). ``m`` is set
-    once, outside the dataclass fields, so equality, hash and repr see only values.
+    Construction checks shape only, and that every entry lies in
+    0..``MAX_RANK_ENTRY``; use :func:`validate_rank` to test the polymatroid
+    properties (normalized, monotone, submodular). Three attributes are set
+    once, outside the dataclass fields, so equality, hash and repr see only
+    values:
+
+    - ``m``, the number of resources;
+    - ``width``, the bit length of the largest entry plus one guard bit,
+      rounded up to 8, 16, 32 or 64;
+    - ``packed``, all 2^m entries in one integer: f(U) is the ``width``-bit
+      field at bit U * ``width``, with its top (guard) bit clear. The passes
+      over all subsets run on it, each arithmetic step covering all fields.
     """
 
     values: tuple[int, ...]
@@ -49,7 +64,21 @@ class RankFunction:
             )
         if min(values) < 0:
             raise MalformedInputError("rank table entries must be nonnegative")
+        top = max(values)
+        if top > MAX_RANK_ENTRY:
+            raise MalformedInputError(
+                f"rank table entries must be at most 2**63 - 1 = {MAX_RANK_ENTRY}"
+            )
+        if top < 0x80:  # the common case: one byte per entry, no array needed
+            width, fields = 8, bytes(values)
+        else:
+            width = 1 << top.bit_length().bit_length()
+            fields = array(_TYPECODES[width], values)
+            if sys.byteorder == "big":
+                fields.byteswap()
         object.__setattr__(self, "m", (size - 1).bit_length())
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "packed", int.from_bytes(fields, "little"))
 
     @property
     def rank_of_all(self) -> int:
@@ -79,63 +108,69 @@ def validate_rank(f: RankFunction) -> tuple[str, int, int] | None:
     submodularity on all pairs (U + {j}, U + {k}) of extensions of a common
     U; both local families are equivalent to the unrestricted definitions.
 
-    One pass decides validity in O(m^2 * 2^m) C-level steps: for each j the
-    differences d_j(U) = f(U + {j}) - f(U) over U without j must be
-    nonnegative (monotone) and must not grow when any k > j joins U (the
-    local submodular inequality, symmetric in j and k). The checks run in
-    this order: normalization; then for each resource j in turn,
-    monotonicity at j followed by submodularity at (j, k) for k = j + 1, ...,
-    m - 1. The witness comes from the first check that fails, at its
-    smallest base subset U.
+    One pass decides validity in O(m^2) arithmetic steps on ``f.packed``,
+    each over all 2^m fields at once. For each j, one shift and one
+    subtraction with the guard bits set give d_j(U) = f(U + {j}) - f(U) for
+    every U; a cleared guard bit on a field U without j is a monotonicity
+    violation. For each k > j, one more shift and subtraction test
+    d_j(U) >= d_j(U + {k}) (the local submodular inequality, symmetric in j
+    and k). The checks run in this order: normalization; then for each
+    resource j in turn, monotonicity at j followed by submodularity at
+    (j, k) for k = j + 1, ..., m - 1. The witness comes from the first check
+    that fails, at its smallest base subset U: the lowest flagged field.
     """
     values = f.values
     if values[0] != 0:
         return ("normalized", 0, 0)
-    m = f.m
-    half = len(values) >> 1
-    quarter = half >> 1
-    table = list(values)
+    m, w, packed = f.m, f.width, f.packed
+    size = len(values)
+    guards = _guard_bits(w, size)
+    # lacking[j]: the guard bits of the fields U without j, built when first
+    # needed (j = 0 reaches each k in turn), so an early witness builds few
+    lacking = [_guard_bits(w, size, 0)]
     for j in range(m):
-        # L[0::2] + L[1::2] rotates the bit order of a mask-indexed list: old
-        # bit 0 becomes the top bit, old bit i + 1 becomes bit i. After j + 1
-        # rotations position t holds mask rotl_m(t, j + 1), so the top bit is
-        # bit j and the halves hold U and U + {j}.
-        table = table[0::2] + table[1::2]
-        diffs = list(map(sub, table[half:], table[:half]))
-        if min(diffs) < 0:
-            u = _mask_order(list(map(gt, repeat(0), diffs)), m - j - 1).index(True)
+        # field U holds 2^(w-1) + f(U + 2^j) - f(U) > 0, so no field borrows
+        # from the next; for U without j the guard stays set iff d_j(U) >= 0
+        diffs = ((packed >> (w << j)) | guards) - packed
+        kept = lacking[j]
+        if diffs & kept != kept:
+            u = _lowest_field((diffs & kept) ^ kept, w)
             return ("monotone", u, u | 1 << j)
-        # after k - j more rotations position q of diffs holds base
-        # U = rotl_m(rotl_{m-1}(q, k - j), j + 1), and its top bit is bit k
+        # d_j(U) < 2^(w-1) on the fields without j, zero on the others
+        drops = diffs & (kept - (kept >> (w - 1)))
+        diffs |= guards
         for k in range(j + 1, m):
-            diffs = diffs[0::2] + diffs[1::2]
-            if any(map(lt, diffs[:quarter], diffs[quarter:])):
-                grows = list(map(lt, diffs[:quarter], diffs[quarter:]))
-                # back to the order of d_j's positions t, then to mask order
-                by_t = _mask_order(grows, m - 1 - (k - j))
-                u = _mask_order(by_t, m - j - 1).index(True)
+            if k == len(lacking):
+                lacking.append(_guard_bits(w, size, k))
+            kept = lacking[k]
+            # field U holds 2^(w-1) + d_j(U) - d_j(U + 2^k) where U lacks j,
+            # and is unchanged where U has j (then so has U + 2^k, as k > j)
+            grows = diffs - (drops >> (w << k))
+            if grows & kept != kept:
+                u = _lowest_field((grows & kept) ^ kept, w)
                 return ("submodular", u | 1 << j, u | 1 << k)
     return None
 
 
-def _mask_order(low: list[bool], turns: int) -> list[bool]:
-    """Flags on the lower half of a rotated list, padded and rotated back into mask order.
+def _guard_bits(w: int, size: int, j: int | None = None) -> int:
+    """The guard bits of the w-bit fields 0..size-1, or of those whose index lacks bit j."""
+    guard, blank = bytes((w >> 3) - 1) + b"\x80", bytes(w >> 3)
+    if j is None:
+        return int.from_bytes(guard * size, "little")
+    run = 1 << j
+    return int.from_bytes((guard * run + blank * run) * (size >> (j + 1)), "little")
 
-    ``low`` covers the positions without the top bit of a list that lacks
-    ``turns`` rotations of a full cycle. The upper half is padded with False
-    and the missing rotations are applied, so position t then holds mask t.
-    """
-    flags = low + [False] * len(low)
-    for _ in range(turns):
-        flags = flags[0::2] + flags[1::2]
-    return flags
+
+def _lowest_field(flags: int, w: int) -> int:
+    """The index of the lowest w-bit field in which a flag bit is set."""
+    return ((flags ^ (flags - 1)).bit_length() - 1) // w
 
 
 def _checked_vector(f: RankFunction, x: Sequence[int]) -> tuple[int, ...]:
-    vec = tuple(int(v) for v in x)
+    vec = tuple(map(int, x))
     if len(vec) != f.m:
         raise MalformedInputError(f"vector has length {len(vec)}, expected {f.m}")
-    if any(v < 0 for v in vec):
+    if vec and min(vec) < 0:
         raise MalformedInputError("count vectors must be nonnegative")
     return vec
 
@@ -180,20 +215,36 @@ class TightSets:
 def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
     """Membership of x in the polytope of f together with its tight subsets.
 
-    One pass over the 2**m subsets: x(U) for every U comes from a doubling
-    DP (the sums over subsets of the first j + 1 resources are those of the
-    first j resources, then the same plus x_j), and each is compared with
-    f(U). Answers the same membership question as :func:`member_polytope`,
-    which stays as the subset-by-subset reference.
+    One pass over the 2**m subsets, on ``f.packed``: x(U) for every U comes
+    from a doubling DP of m shifts and adds (the sums over subsets of the
+    first j + 1 resources are those of the first j resources, then the same
+    plus x_j). One subtraction from f with the guard bits set compares every
+    x(U) with f(U): x is inside iff no guard bit clears, and the tight sets
+    are the fields where f(U) - x(U) is zero, ascending. A vector whose total
+    exceeds f(R) is outside at once; otherwise every x(U) fits below the
+    guard bit. Answers the same membership question as
+    :func:`member_polytope`, which stays as the subset-by-subset reference.
     """
     vec = _checked_vector(f, x)
-    values = f.values
-    sums = [0]
-    for v in vec:
-        sums += [total + v for total in sums]
-    if any(map(gt, sums, values)):
+    if sum(vec) > f.rank_of_all:
         return TightSets(False, 0, ())
-    tight = tuple(compress(range(len(values)), map(eq, sums, values)))
+    w = f.width
+    sums, ones, shift = 0, 1, w
+    for v in vec:
+        sums |= (sums + v * ones) << shift
+        ones |= ones << shift
+        shift <<= 1
+    guards = ones << (w - 1)
+    # field U holds 2^(w-1) + f(U) - x(U) > 0, so no field borrows from the next
+    slack = (f.packed | guards) - sums
+    if slack & guards != guards:
+        return TightSets(False, 0, ())
+    # one less clears the guard exactly where f(U) = x(U); the top byte of
+    # each field is then nonzero on the tight fields only
+    flags = ((slack - ones) & guards) ^ guards
+    step = w >> 3
+    tops = flags.to_bytes(step << f.m, "little")[step - 1 :: step]
+    tight = tuple(compress(range(1 << f.m), tops))
     return TightSets(True, reduce(or_, tight, 0), tight)
 
 

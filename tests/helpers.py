@@ -142,6 +142,16 @@ def neighbour_bills_monotone(values, u) -> bool:
     return True
 
 
+# shifts that move rank entries across every packed field width (8, 16, 32
+# and 64 bits) and onto the bits next to each width's guard bit
+SCALE_SHIFTS = (0, 6, 7, 8, 15, 16, 31, 32, 62)
+
+
+def fitting_shift(values, s: int) -> int:
+    """s, lowered as far as needed to keep every entry times 2^s below 2^63."""
+    return min(s, 63 - max(values).bit_length())
+
+
 def bounded_random_rank(rng: random.Random, m: int, full_rank_cap: int, max_chain: int = 3):
     """Seeded valid rank function with full rank in [1, full_rank_cap]."""
     from polynash.generators import random_rank

@@ -212,6 +212,19 @@ def test_oversized_document_is_refused_unread(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("entry", [2**63, int("9" * 4000)], ids=["2**63", "4000-digit"])
+def test_check_rejects_a_rank_entry_above_the_cap(tmp_path, capsys, entry):
+    doc = json.loads(json.dumps(TWO_PLAYER_DOC))
+    doc["players"][1]["rank"] = [0, 1, 1, entry]
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--instance", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "invalid input: rank table entries must be at most "
+        "2**63 - 1 = 9223372036854775807\n"
+    )
+
+
 def test_missing_file_is_invalid(tmp_path):
     assert main(["check", "--instance", str(tmp_path / "nope.json")]) == EXIT_INVALID
 

@@ -17,8 +17,10 @@ from polynash import (
     member_base,
     member_polytope,
     random_rank,
+    tight_sets,
     validate_rank,
 )
+from polynash.rank import MAX_RANK_ENTRY
 
 from helpers import bounded_random_rank, feasible_vectors, full_pair_rank_ok
 
@@ -39,6 +41,28 @@ def test_rank_function_sets_its_resource_count_once_outside_its_fields():
     assert [field.name for field in dataclasses.fields(f)] == ["values"]
     assert f == F_AB and hash(f) == hash(F_AB)
     assert repr(f) == "RankFunction(values=(0, 2, 1, 2))"
+
+
+@pytest.mark.parametrize(
+    "top, width",
+    [(0, 8), (127, 8), (128, 16), (2**15 - 1, 16), (2**15, 32), (2**31, 64), (MAX_RANK_ENTRY, 64)],
+)
+def test_rank_function_packs_its_entries_below_a_guard_bit(top, width):
+    f = RankFunction((0, top, 1, top))
+    assert vars(f)["width"] == width
+    fields = [f.packed >> (mask * width) & (2**width - 1) for mask in range(4)]
+    assert fields == list(f.values) and f.packed < 1 << (4 * width)
+
+
+def test_rank_entries_are_capped_at_the_largest_64_bit_field():
+    with pytest.raises(MalformedInputError, match=r"at most 2\*\*63 - 1 = 9223372036854775807"):
+        RankFunction((0, 2**63))
+    with pytest.raises(MalformedInputError, match=r"at most 2\*\*63 - 1"):
+        RankFunction((0, 1, 1, int("9" * 4000)))
+    f = RankFunction((0, MAX_RANK_ENTRY))
+    assert validate_rank(f) is None
+    assert tight_sets(f, (MAX_RANK_ENTRY,)).tight == (0, 1)
+    assert not tight_sets(f, (MAX_RANK_ENTRY + 1,)).feasible
 
 
 def test_validate_rank_accepts_the_worked_table():

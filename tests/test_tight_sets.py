@@ -3,10 +3,15 @@
 Random polymatroids come from ``bounded_random_rank`` and random vectors
 inside them from the independent product scan; every unit-step answer is
 checked against ``member_polytope`` on the stepped vector, and best-response
-tests against the exhaustive minimum weight.
+tests against the exhaustive minimum weight. Tables and vectors scaled
+together by 2^s reach every packed field width, and their tight sets are
+checked against a subset-by-subset scan.
 """
 
-from hypothesis import given, settings
+from functools import reduce
+from operator import or_
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polynash import (
@@ -20,10 +25,19 @@ from polynash import (
     local_improvement,
     member_polytope,
     random_convex_table,
+    random_rank,
     tight_sets,
 )
+from polynash.rank import MAX_RANK_ENTRY
 
-from helpers import bounded_random_rank, feasible_vectors, ideal_weight, min_weight
+from helpers import (
+    SCALE_SHIFTS,
+    bounded_random_rank,
+    feasible_vectors,
+    fitting_shift,
+    ideal_weight,
+    min_weight,
+)
 
 DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -81,6 +95,55 @@ def test_tight_sets_detect_every_vector_outside_the_polytope(case, data):
     f, x = case
     bumped = _stepped(x, add=data.draw(st.integers(0, f.m - 1)))
     assert tight_sets(f, bumped).feasible == member_polytope(f, bumped)
+
+
+def _subset_sums(x):
+    return [sum(v for r, v in enumerate(x) if mask >> r & 1) for mask in range(1 << len(x))]
+
+
+@st.composite
+def scaled_rank_and_vector(draw, max_m=8):
+    """A polymatroid and a count vector filled unit by unit while it fits,
+    both times 2^s, then perhaps one more unit on one resource."""
+    rng = draw(st.randoms(use_true_random=False))
+    values = random_rank(rng, draw(st.integers(1, max_m))).values
+    m = len(values).bit_length() - 1
+    x = [0] * m
+    for r in draw(st.lists(st.integers(0, m - 1), max_size=12)):
+        x[r] += 1
+        if any(map(int.__gt__, _subset_sums(x), values)):
+            x[r] -= 1
+    s = fitting_shift(values, draw(st.sampled_from(SCALE_SHIFTS)))
+    x = [v << s for v in x]
+    if draw(st.booleans()):
+        x[draw(st.integers(0, m - 1))] += 1
+    return RankFunction(tuple(v << s for v in values)), tuple(x)
+
+
+# f(U) = min(|U|, 2) * 2^61 on three resources, in 64-bit fields
+WIDE_UNIFORM = RankFunction(tuple(min(bin(u).count("1"), 2) << 61 for u in range(8)))
+
+
+@DIFFERENTIAL
+@given(scaled_rank_and_vector())
+# the top field, the full set R, tight; then one more unit overfills R only
+@example((WIDE_UNIFORM, (1 << 61, 1 << 61, 0)))
+@example((WIDE_UNIFORM, (1 << 61, 1 << 61, 1)))
+# totals past f(R) whose subset sums would not fit in their 8- or 64-bit fields
+@example((RankFunction((0, 1)), (257,)))
+@example((RankFunction((0, 1, 1, 1)), (0, 2**64 + 1)))
+@example((RankFunction((0, MAX_RANK_ENTRY)), (2**64 + 2**63,)))
+# the cap itself, on a table whose every subset is tight
+@example((RankFunction((0, MAX_RANK_ENTRY, 0, MAX_RANK_ENTRY)), (MAX_RANK_ENTRY, 0)))
+def test_tight_sets_on_scaled_tables_match_the_subset_scan(case):
+    f, x = case
+    tight = tight_sets(f, x)
+    assert tight.feasible == member_polytope(f, x)
+    if tight.feasible:
+        sums = _subset_sums(x)
+        expected = tuple(mask for mask, value in enumerate(f.values) if sums[mask] == value)
+        assert tight.tight == expected
+        assert tight.saturated == reduce(or_, expected, 0)
 
 
 @DIFFERENTIAL

@@ -3,10 +3,12 @@
 ``validate_rank`` and ``find_ssc_violation`` each decide validity and name
 their witness in one pass. These checks compare both answers with the
 independent oracles of ``helpers``: the verdict with the full definitions,
-and the witness with the list of every violation. The tables lie near the
-boundary of validity: generated valid tables nudged by one unit, up to
-eight resources so that every rotation count of the rank pass's index
-bookkeeping is exercised.
+and the witness with the list of every violation. The rank tables lie near
+the boundary of validity: generated valid tables nudged by one unit, up to
+eight resources so that every pair (j, k) of the packed pass is reached,
+and scaled by 2^s so that the entries fill every packed field width up to
+the bits next to its guard bit. Scaling by a power of two keeps validity and
+every violation.
 """
 
 from itertools import accumulate, product
@@ -16,28 +18,45 @@ from hypothesis import strategies as st
 
 from polynash import RankFunction, find_ssc_violation, validate_rank
 from polynash.generators import random_rank
+from polynash.rank import MAX_RANK_ENTRY
 
-from helpers import _rank_violations, full_pair_rank_ok, neighbour_bills_monotone, ssc_ok
+from helpers import (
+    SCALE_SHIFTS,
+    _rank_violations,
+    fitting_shift,
+    full_pair_rank_ok,
+    neighbour_bills_monotone,
+    ssc_ok,
+)
 
 DIFFERENTIAL = settings(max_examples=300, deadline=None, derandomize=True)
 
 
+def _scaled_rank(draw, values):
+    s = fitting_shift(values, draw(st.sampled_from(SCALE_SHIFTS)))
+    return RankFunction(tuple(v << s for v in values))
+
+
 @st.composite
 def near_valid_rank(draw, max_m=8):
-    """A generated polymatroid with at most one entry moved by one unit."""
+    """A generated polymatroid with at most one entry moved by one unit, scaled."""
     rng = draw(st.randoms(use_true_random=False))
     values = list(random_rank(rng, draw(st.integers(1, max_m))).values)
     if draw(st.booleans()):
         mask = draw(st.integers(0, len(values) - 1))
         values[mask] = max(0, values[mask] + draw(st.sampled_from((-1, 1))))
-    return RankFunction(tuple(values))
+    return _scaled_rank(draw, values)
 
 
 @st.composite
 def any_rank(draw, max_m=8):
     m = draw(st.integers(0, max_m))
     entries = st.integers(0, 2 + m)
-    return RankFunction(tuple(draw(st.lists(entries, min_size=1 << m, max_size=1 << m))))
+    return _scaled_rank(draw, draw(st.lists(entries, min_size=1 << m, max_size=1 << m)))
+
+
+def _cardinality(m):
+    return [bin(mask).count("1") for mask in range(1 << m)]
 
 
 @DIFFERENTIAL
@@ -47,6 +66,11 @@ def any_rank(draw, max_m=8):
 @example(RankFunction((1,)))
 @example(RankFunction((0, 0)))
 @example(RankFunction((2, 1)))
+# witnesses that read the top field, mask 2^m - 1, at 64-bit width: a top
+# entry at the cap breaks submodularity at (0, 1), one just below f(R - {a})
+# breaks monotonicity at a
+@example(RankFunction((*_cardinality(3)[:-1], MAX_RANK_ENTRY)))
+@example(RankFunction((*(size << 61 for size in _cardinality(3)[:-1]), (2 << 61) - 1)))
 def test_validate_rank_matches_the_full_pair_definitions(f):
     witness = validate_rank(f)
     assert (witness is None) == full_pair_rank_ok(f.values)
