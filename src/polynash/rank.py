@@ -69,13 +69,10 @@ class RankFunction:
             raise MalformedInputError(
                 f"rank table entries must be at most 2**63 - 1 = {MAX_RANK_ENTRY}"
             )
-        if top < 0x80:  # the common case: one byte per entry, no array needed
-            width, fields = 8, bytes(values)
-        else:
-            width = 1 << top.bit_length().bit_length()
-            fields = array(_TYPECODES[width], values)
-            if sys.byteorder == "big":
-                fields.byteswap()
+        width = max(8, 1 << top.bit_length().bit_length())
+        fields = array(_TYPECODES[width], values)
+        if sys.byteorder == "big":
+            fields.byteswap()
         object.__setattr__(self, "m", (size - 1).bit_length())
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "packed", int.from_bytes(fields, "little"))
@@ -118,47 +115,46 @@ def validate_rank(f: RankFunction) -> tuple[str, int, int] | None:
     resource j in turn, monotonicity at j followed by submodularity at
     (j, k) for k = j + 1, ..., m - 1. The witness comes from the first check
     that fails, at its smallest base subset U: the lowest flagged field.
+    Each mask of the fields without k is derived from the one without k + 1,
+    so only a few table-sized integers are alive at any time.
     """
     values = f.values
     if values[0] != 0:
         return ("normalized", 0, 0)
     m, w, packed = f.m, f.width, f.packed
     size = len(values)
-    guards = _guard_bits(w, size)
-    # lacking[j]: the guard bits of the fields U without j, built when first
-    # needed (j = 0 reaches each k in turn), so an early witness builds few
-    lacking = [_guard_bits(w, size, 0)]
+    guard, blank = bytes((w >> 3) - 1) + b"\x80", bytes(w >> 3)
+    guards = int.from_bytes(guard * size, "little")
+    # lacking: the guard bits of the fields without j, built here for j = 0.
+    # Those without k follow from those without k + 1 by one shift and xor,
+    # so each j derives them downwards from the lower half of the fields
+    # (those without m - 1) to k = j + 1, and keeps that mask for the next j
+    lacking = int.from_bytes((guard + blank) * (size >> 1), "little")
     for j in range(m):
         # field U holds 2^(w-1) + f(U + 2^j) - f(U) > 0, so no field borrows
         # from the next; for U without j the guard stays set iff d_j(U) >= 0
         diffs = ((packed >> (w << j)) | guards) - packed
-        kept = lacking[j]
-        if diffs & kept != kept:
-            u = _lowest_field((diffs & kept) ^ kept, w)
+        if diffs & lacking != lacking:
+            u = _lowest_field((diffs & lacking) ^ lacking, w)
             return ("monotone", u, u | 1 << j)
         # d_j(U) < 2^(w-1) on the fields without j, zero on the others
-        drops = diffs & (kept - (kept >> (w - 1)))
+        drops = diffs & (lacking - (lacking >> (w - 1)))
         diffs |= guards
-        for k in range(j + 1, m):
-            if k == len(lacking):
-                lacking.append(_guard_bits(w, size, k))
-            kept = lacking[k]
+        # k runs downwards, so the last failing k is the first in check order
+        failed = None
+        kept = guards >> (w << (m - 1))  # the fields without m - 1
+        for k in range(m - 1, j, -1):
             # field U holds 2^(w-1) + d_j(U) - d_j(U + 2^k) where U lacks j,
             # and is unchanged where U has j (then so has U + 2^k, as k > j)
-            grows = diffs - (drops >> (w << k))
-            if grows & kept != kept:
-                u = _lowest_field((grows & kept) ^ kept, w)
-                return ("submodular", u | 1 << j, u | 1 << k)
+            grows = (diffs - (drops >> (w << k))) & kept
+            if grows != kept:
+                failed = k, grows ^ kept
+            lacking, kept = kept, kept ^ (kept << (w << (k - 1)))
+        if failed:
+            k, flags = failed
+            u = _lowest_field(flags, w)
+            return ("submodular", u | 1 << j, u | 1 << k)
     return None
-
-
-def _guard_bits(w: int, size: int, j: int | None = None) -> int:
-    """The guard bits of the w-bit fields 0..size-1, or of those whose index lacks bit j."""
-    guard, blank = bytes((w >> 3) - 1) + b"\x80", bytes(w >> 3)
-    if j is None:
-        return int.from_bytes(guard * size, "little")
-    run = 1 << j
-    return int.from_bytes((guard * run + blank * run) * (size >> (j + 1)), "little")
 
 
 def _lowest_field(flags: int, w: int) -> int:

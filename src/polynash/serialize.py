@@ -13,7 +13,7 @@ import json
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Sequence
 
-from .errors import InvariantError, ParseError
+from .errors import InvariantError, MalformedInputError, ParseError
 from .game import CostTable, GameInstance, Profile, private_cost
 from .rank import MAX_RESOURCES, RankFunction
 from .solver import (
@@ -112,7 +112,7 @@ def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
             len(raw) == 1 << m,
             f"player {player} dense rank table has length {len(raw)}, expected {1 << m}",
         )
-        return RankFunction(_int_tuple(raw, f"player {player} rank entry"))
+        return _rank_table(_int_tuple(raw, f"player {player} rank entry"), player)
     _require(isinstance(raw, dict), f"player {player} rank must be an array or a map")
     index = {name: r for r, name in enumerate(names)}
     table = [None] * (1 << m)
@@ -146,7 +146,15 @@ def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
             raise ParseError(
                 f"player {player} rank map is missing the subset {{{label}}}"
             )
-    return RankFunction(tuple(table))
+    return _rank_table(tuple(table), player)
+
+
+def _rank_table(values: tuple[int, ...], player: int) -> RankFunction:
+    """RankFunction(values), its entry-range errors naming the player."""
+    try:
+        return RankFunction(values)
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"player {player} {exc}") from None
 
 
 def parse_instance(data: bytes | str) -> GameInstance:

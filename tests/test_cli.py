@@ -213,14 +213,17 @@ def test_oversized_document_is_refused_unread(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entry", [2**63, int("9" * 4000)], ids=["2**63", "4000-digit"])
-def test_check_rejects_a_rank_entry_above_the_cap(tmp_path, capsys, entry):
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "map"])
+def test_check_rejects_a_rank_entry_above_the_cap(tmp_path, capsys, entry, dense):
     doc = json.loads(json.dumps(TWO_PLAYER_DOC))
-    doc["players"][1]["rank"] = [0, 1, 1, entry]
+    doc["players"][1]["rank"] = (
+        [0, 1, 1, entry] if dense else {"a": 1, "b": 1, "a,b": entry}
+    )
     path = tmp_path / "capped.json"
     path.write_text(json.dumps(doc))
     assert main(["check", "--instance", str(path)]) == EXIT_INVALID
     assert capsys.readouterr().err == (
-        "invalid input: rank table entries must be at most "
+        "invalid input: player 1 rank table entries must be at most "
         "2**63 - 1 = 9223372036854775807\n"
     )
 
