@@ -69,7 +69,7 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
     above r is feasible iff r lies outside every tight set. A count vector
     already outside the polytope has no feasible addition.
     """
-    counts = tuple(int(v) for v in counts)
+    counts = _checked_vector(f, counts)
     tight = tight_sets(f, counts)
     if not tight.feasible:
         return []
@@ -156,7 +156,7 @@ def local_improvement(
     can move from r to s iff s is unsaturated or r lies in the smallest
     tight set containing s.
     """
-    counts = tuple(int(v) for v in counts)
+    counts = _checked_vector(f, counts)
     tight = _tight_inside(f, counts)
     _require_coverage(f, w, sum(counts))
     return _best_exchange(counts, *_row_prices(w.weights, counts), tight)
@@ -336,7 +336,7 @@ def repair_best_response(
     ``verify_input_optimal`` re-checks the optimality precondition by
     exhaustive enumeration; intended for debugging at desk scale.
     """
-    counts = tuple(int(v) for v in counts)
+    counts = _checked_vector(f, counts)
     _check_shift_structure(shifted_resource, w_old, w_new)
     if verify_input_optimal:
         best = min(w_old.ideal_weight(x) for x in enumerate_base(f, sum(counts)))
@@ -348,11 +348,9 @@ def repair_best_response(
     swap = local_improvement(f, counts, w_new)
     if swap is None:
         return counts, None
-    r = swap.remove[0]
-    s = swap.add[0]
     repaired = list(counts)
-    repaired[r] -= 1
-    repaired[s] += 1
+    repaired[swap.remove[0]] -= 1
+    repaired[swap.add[0]] += 1
     return tuple(repaired), swap
 
 

@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cost-family",
         choices=("convex_nondecreasing", "truncated_ssc", "nondecreasing"),
         default=None,
-        help="table family; 'nondecreasing' is allowed for matroid games only",
+        help="table family; 'nondecreasing' is allowed for matroid games only, "
+        "and kind singleton takes only 'convex_nondecreasing'",
     )
     gen.add_argument(
         "--resource-sets",
@@ -218,6 +219,8 @@ def _cmd_gen(args) -> int:
     elif args.kind == "singleton":
         if args.resource_sets is None or args.demands is None:
             raise _UsageError("kind singleton needs --resource-sets and --demands")
+        if args.cost_family not in (None, "convex_nondecreasing"):
+            raise _UsageError("kind singleton draws 'convex_nondecreasing' tables only")
         try:
             demands = [int(part) for part in args.demands.split(",")]
         except ValueError:

@@ -20,7 +20,7 @@ from .errors import (
     MalformedInputError,
     ValidationError,
 )
-from .rank import RankFunction, member_base, validate_rank
+from .rank import RankFunction, _integers, member_base, validate_rank
 
 __all__ = [
     "CostTable",
@@ -39,15 +39,15 @@ class CostTable:
     """Per-unit price of a resource as a function of its total load.
 
     ``values[k]`` is the price charged for each unit a player keeps on the
-    resource while the total load is k. Tables must be nonnegative and
-    nondecreasing; evaluation past the end is a hard error, never
+    resource while the total load is k. Tables must hold integers, and be
+    nonnegative and nondecreasing; evaluation past the end is a hard error, never
     extrapolation.
     """
 
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(map(int, self.values))
+        values = _integers(self.values, "cost table entries")
         object.__setattr__(self, "values", values)
         if not values:
             raise ValidationError("cost table must not be empty", witness=("empty",))
@@ -78,9 +78,7 @@ class CostTable:
 
 
 def _values_of(c) -> tuple[int, ...]:
-    if isinstance(c, CostTable):
-        return c.values
-    return tuple(map(int, c))
+    return c.values if isinstance(c, CostTable) else _integers(c, "cost table entries")
 
 
 def check_convex(c) -> bool:
@@ -213,7 +211,7 @@ class GameInstance:
 
     ``resources`` fixes the bitmask bit order and every tie-breaking index.
     Validation is eager: rank tables must be normalized/monotone/submodular,
-    demands feasible, and every cost table nonnegative, nondecreasing, and
+    demands integral and feasible, and every cost table nonnegative, nondecreasing, and
     load-sensitive up to that player's single-resource capacity.
     """
 
@@ -224,7 +222,7 @@ class GameInstance:
 
     def __post_init__(self) -> None:
         resources = tuple(str(name) for name in self.resources)
-        demands = tuple(int(d) for d in self.demands)
+        demands = _integers(self.demands, "demands")
         ranks = tuple(
             f if isinstance(f, RankFunction) else RankFunction(tuple(f))
             for f in self.ranks

@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import sys
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
-from operator import and_, or_
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .errors import (
-    EnumerationTooLargeError,
-    InfeasibleTruncationError,
-    MalformedInputError,
-)
+from .errors import InfeasibleTruncationError, MalformedInputError
 
 MAX_RESOURCES = 20
 MAX_RANK_ENTRY = 2**63 - 1
@@ -30,11 +25,24 @@ MAX_RANK_ENTRY = 2**63 - 1
 _TYPECODES = {array(code).itemsize * 8: code for code in "BHILQ"}
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as ints: 1.0 and True are converted, 1.9 and "1" are refused."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int}:
+        return values
+    for v in values:
+        with suppress(TypeError, ValueError, OverflowError):
+            if int(v) == v:
+                continue
+        raise MalformedInputError(f"{what} must be integers, got {v!r}")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class RankFunction:
     """Integer set function f: 2^R -> N as an explicit bitmask-indexed table.
 
-    Construction checks shape only, and that every entry lies in
+    Construction checks shape only, and that every entry is an integer in
     0..``MAX_RANK_ENTRY``; use :func:`validate_rank` to test the polymatroid
     properties (normalized, monotone, submodular). Three attributes are set
     once, outside the dataclass fields, so equality, hash and repr see only
@@ -51,7 +59,7 @@ class RankFunction:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(map(int, self.values))
+        values = _integers(self.values, "rank table entries")
         object.__setattr__(self, "values", values)
         size = len(values)
         if size == 0 or size & (size - 1):
@@ -116,7 +124,7 @@ def validate_rank(f: RankFunction) -> tuple[str, int, int] | None:
     (j, k) for k = j + 1, ..., m - 1. The witness comes from the first check
     that fails, at its smallest base subset U: the lowest flagged field.
     Each mask of the fields without k is derived from the one without k + 1,
-    so only a few table-sized integers are alive at any time.
+    and at most seven table-sized integers are alive at any time.
     """
     values = f.values
     if values[0] != 0:
@@ -128,7 +136,7 @@ def validate_rank(f: RankFunction) -> tuple[str, int, int] | None:
     # lacking: the guard bits of the fields without j, built here for j = 0.
     # Those without k follow from those without k + 1 by one shift and xor,
     # so each j derives them downwards from the lower half of the fields
-    # (those without m - 1) to k = j + 1, and keeps that mask for the next j
+    # (those without m - 1) to k = j + 1, the mask for the next j
     lacking = int.from_bytes((guard + blank) * (size >> 1), "little")
     for j in range(m):
         # field U holds 2^(w-1) + f(U + 2^j) - f(U) > 0, so no field borrows
@@ -142,17 +150,18 @@ def validate_rank(f: RankFunction) -> tuple[str, int, int] | None:
         diffs |= guards
         # k runs downwards, so the last failing k is the first in check order
         failed = None
-        kept = guards >> (w << (m - 1))  # the fields without m - 1
+        lacking = guards >> (w << (m - 1))  # the fields without m - 1
         for k in range(m - 1, j, -1):
+            if k < m - 1:
+                lacking ^= lacking << (w << k)  # the fields without k
             # field U holds 2^(w-1) + d_j(U) - d_j(U + 2^k) where U lacks j,
             # and is unchanged where U has j (then so has U + 2^k, as k > j)
-            grows = (diffs - (drops >> (w << k))) & kept
-            if grows != kept:
-                failed = k, grows ^ kept
-            lacking, kept = kept, kept ^ (kept << (w << (k - 1)))
+            grows = (diffs - (drops >> (w << k))) & lacking
+            if grows != lacking:
+                failed = k, _lowest_field(grows ^ lacking, w)
+            del grows  # before the next k builds its own
         if failed:
-            k, flags = failed
-            u = _lowest_field(flags, w)
+            k, u = failed
             return ("submodular", u | 1 << j, u | 1 << k)
     return None
 
@@ -163,7 +172,7 @@ def _lowest_field(flags: int, w: int) -> int:
 
 
 def _checked_vector(f: RankFunction, x: Sequence[int]) -> tuple[int, ...]:
-    vec = tuple(map(int, x))
+    vec = _integers(x, "count vectors")
     if len(vec) != f.m:
         raise MalformedInputError(f"vector has length {len(vec)}, expected {f.m}")
     if vec and min(vec) < 0:
@@ -175,14 +184,16 @@ def _checked_vector(f: RankFunction, x: Sequence[int]) -> tuple[int, ...]:
 class TightSets:
     """The tight subsets {U : x(U) = f(U)} of a count vector x, from tight_sets.
 
-    For x inside the polytope of f the tight sets are closed under union and
-    intersection, so two masks answer every unit step from x:
+    For a submodular f, such as a polymatroid, and x inside its polytope the
+    tight sets are closed under union and intersection, and a subset's mask
+    is never above its superset's, so two reads of ``tight`` answer every
+    unit step from x:
 
-    - ``saturated`` is their union sat(x); x + e_r stays inside exactly when
-      r is outside it;
-    - ``dependent(s)`` is the smallest tight set containing s, dep(x, s);
-      for x_r >= 1, x - e_r + e_s stays inside exactly when s is outside
-      sat(x) or r lies in dep(x, s).
+    - ``saturated``, the last tight set, is their union sat(x) (0 if there
+      is none); x + e_r stays inside exactly when r is outside it;
+    - ``dependent(s)``, the first tight set containing s, is their
+      intersection dep(x, s); for x_r >= 1, x - e_r + e_s stays inside
+      exactly when s is outside sat(x) or r lies in dep(x, s).
 
     When ``feasible`` is False, x violates some capacity, ``tight`` is empty
     and the unit-step answers are meaningless.
@@ -194,10 +205,7 @@ class TightSets:
 
     def dependent(self, s: int) -> int:
         """dep(x, s), the smallest tight set containing s; 0 when s is unsaturated."""
-        bit = 1 << s
-        if not self.saturated & bit:
-            return 0
-        return reduce(and_, filter(bit.__and__, self.tight))
+        return next(filter((1 << s).__and__, self.tight), 0)
 
     def can_add(self, r: int) -> bool:
         """Whether one more unit on resource r keeps x inside the polytope."""
@@ -218,8 +226,8 @@ def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
     x(U) with f(U): x is inside iff no guard bit clears, and the tight sets
     are the fields where f(U) - x(U) is zero, ascending. A vector whose total
     exceeds f(R) is outside at once; otherwise every x(U) fits below the
-    guard bit. Answers the same membership question as
-    :func:`member_polytope`, which stays as the subset-by-subset reference.
+    guard bit. Answers the same membership question as :func:`member_polytope`
+    (the subset-by-subset reference); unit-step answers need f submodular.
     """
     vec = _checked_vector(f, x)
     if sum(vec) > f.rank_of_all:
@@ -241,7 +249,7 @@ def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
     step = w >> 3
     tops = flags.to_bytes(step << f.m, "little")[step - 1 :: step]
     tight = tuple(compress(range(1 << f.m), tops))
-    return TightSets(True, reduce(or_, tight, 0), tight)
+    return TightSets(True, tight[-1] if tight else 0, tight)
 
 
 def member_polytope(f: RankFunction, x: Sequence[int]) -> bool:
@@ -277,13 +285,11 @@ def member_base(f: RankFunction, d: int, x: Sequence[int]) -> bool:
     return sum(vec) == d and tight_sets(f, vec).feasible
 
 
-def enumerate_base(
-    f: RankFunction, d: int, cap: int | None = None
-) -> list[tuple[int, ...]]:
+def enumerate_base(f: RankFunction, d: int) -> list[tuple[int, ...]]:
     """All count vectors summing to d inside every capacity, ascending lexicographically.
 
-    Intended for desk scale; pass ``cap`` to abort once the result would
-    exceed it.
+    The walk tries every split of d within the singleton capacities, so it
+    is meant for desk scale: the debug checks and the tests.
     """
     _check_demand(f, d)
     m = f.m
@@ -292,14 +298,8 @@ def enumerate_base(
 
     def walk(r: int, remaining: int, prefix: list[int]) -> None:
         if r == m:
-            if remaining == 0:
-                vec = tuple(prefix)
-                if tight_sets(f, vec).feasible:
-                    out.append(vec)
-                    if cap is not None and len(out) > cap:
-                        raise EnumerationTooLargeError(
-                            f"more than {cap} vectors in the base polyhedron at demand {d}"
-                        )
+            if remaining == 0 and tight_sets(f, prefix).feasible:
+                out.append(tuple(prefix))
             return
         for v in range(min(caps[r], remaining) + 1):
             prefix.append(v)

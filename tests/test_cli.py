@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from polynash import MatroidSpec, cli, errors, generators, parse_instance
+from polynash import MatroidSpec, Profile, cli, errors, generators, parse_instance
 from polynash.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -55,6 +55,23 @@ def test_solve_verify_roundtrip(tmp_path, instance_path, capsys):
     assert out.exists() and trace.exists()
     rc = main(["verify", "--instance", str(instance_path), "--profile", str(out)])
     assert rc == EXIT_OK
+
+
+def test_solve_verify_exits_four_when_the_solver_output_is_not_an_equilibrium(
+    tmp_path, instance_path, monkeypatch, capsys
+):
+    solve = cli.compute_pne
+
+    def both_on_a(g, policy):
+        _, trace = solve(g, policy)
+        return Profile(((1, 0), (1, 0))), trace
+
+    monkeypatch.setattr(cli, "compute_pne", both_on_a)
+    out = tmp_path / "profile.json"
+    rc = main(["solve", "--instance", str(instance_path), "--output", str(out), "--verify"])
+    assert rc == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "solver output is not an equilibrium: player 0 pays 2, could pay 1" in err
 
 
 def test_verify_flags_a_perturbed_profile(tmp_path, instance_path, capsys):
@@ -109,6 +126,26 @@ def test_usage_errors_exit_one(tmp_path):
             '[{"kind":"partition","blocks":[[0,"a"]],"caps":[1]}]',
         ],
         ["--kind", "matroid", "--matroids", '[{"kind":"graphic","edges":[[0]]}]'],
+        [
+            *("--kind", "random", "--players", "2", "--resources", "2"),
+            *("--max-demand", "2", "--cost-family", "nondecreasing"),
+        ],
+        ["--kind", "singleton", "--resource-sets", "a;a,b"],
+        ["--kind", "singleton", "--resource-sets", "a;a,b", "--demands", "1"],
+        [
+            *("--kind", "singleton", "--resource-sets", "a;a,c", "--demands", "1,1"),
+            *("--resource-names", "a,b"),
+        ],
+        ["--kind", "matroid", "--resources", "2"],
+        ["--kind", "matroid", "--matroids", "[{"],
+        ["--kind", "matroid", "--matroids", "[]"],
+        ["--kind", "matroid", "--matroids", '[{"kind":"uniform","rank":1}]'],
+        [
+            *("--kind", "matroid", "--resources", "2", "--matroids"),
+            '[{"kind":"partition","blocks":[[0,1]],"caps":[1.5]}]',
+        ],
+        ["--kind", "matroid", "--resources", "2", "--matroids", "[3]"],
+        ["--kind", "matroid", "--resources", "2", "--matroids", '[{"kind":"laminar"}]'],
     ],
 )
 def test_gen_rejects_malformed_fields_as_usage_errors(tmp_path, capsys, kind_args):
@@ -299,6 +336,20 @@ def test_gen_singleton(tmp_path):
     assert g.resources == ("a", "b")
     assert g.demands == (2, 1)
     assert g.ranks[0].singleton(0) == 2 and g.ranks[0].singleton(1) == 0
+
+
+@pytest.mark.parametrize("family", ["truncated_ssc", "nondecreasing"])
+def test_gen_singleton_draws_convex_tables_only(tmp_path, capsys, family):
+    args = ["gen", "--kind", "singleton", "--resource-sets", "a;a,b", "--demands", "2,1"]
+    out = tmp_path / "s.json"
+    assert main([*args, "--cost-family", family, "--output", str(out)]) == EXIT_USAGE
+    assert "draws 'convex_nondecreasing' tables only" in capsys.readouterr().err
+    assert not out.exists()
+    default, convex = tmp_path / "default.json", tmp_path / "convex.json"
+    assert main([*args, "--output", str(default)]) == EXIT_OK
+    family_args = ["--cost-family", "convex_nondecreasing", "--output", str(convex)]
+    assert main([*args, *family_args]) == EXIT_OK
+    assert convex.read_bytes() == default.read_bytes()
 
 
 def test_gen_matroid(tmp_path):

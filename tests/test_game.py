@@ -302,6 +302,25 @@ def test_profile_loads_errors_equality_and_repr():
 
 
 
+def test_cost_table_refuses_entries_that_int_would_change():
+    with pytest.raises(MalformedInputError, match="cost table entries must be integers, got 2.9"):
+        CostTable((0, 2.9, 3.5))
+    with pytest.raises(MalformedInputError, match="cost table entries must be integers, got '0'"):
+        CostTable(("0", "1", True))
+    assert CostTable((0.0, True, 2)).values == (0, 1, 2)
+    values = (0, 1, 2)
+    assert CostTable(values).values is values
+
+
+def test_game_instance_refuses_a_demand_that_int_would_change():
+    f, costs = RankFunction((0, 3)), (((0, 1, 2, 3),),)
+    with pytest.raises(MalformedInputError, match="demands must be integers, got 1.9"):
+        GameInstance(("a",), (1.9,), (f,), costs)
+    with pytest.raises(MalformedInputError, match="demands must be integers, got None"):
+        GameInstance(("a",), (None,), (f,), costs)
+    assert GameInstance(("a",), (2.0,), (f,), costs).demands == (2,)
+
+
 def test_one_pass_checks_keep_their_messages_and_coercions():
     with pytest.raises(AdmissibilityError) as err:
         WeightedGround(((1, 2), (0, 4, 3, 1)))

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynash import (
-    EnumerationTooLargeError,
     InfeasibleTruncationError,
     MalformedInputError,
     RankFunction,
@@ -32,6 +31,30 @@ def test_rank_function_rejects_bad_shapes():
         RankFunction((0, 1, 2))  # not a power of two
     with pytest.raises(MalformedInputError):
         RankFunction((0, -1))
+
+
+def test_rank_function_refuses_entries_that_int_would_change():
+    for values, shown in [
+        ((0, 1.9, 1.2, 2.99), "1.9"),
+        ((0, "1"), "'1'"),
+        ((0, None), "None"),
+        ((0, float("nan")), "nan"),
+        ((0, float("inf")), "inf"),
+    ]:
+        with pytest.raises(MalformedInputError) as err:
+            RankFunction(values)
+        assert str(err.value) == f"rank table entries must be integers, got {shown}"
+    assert RankFunction((0, 1.0, True, 2)).values == (0, 1, 1, 2)
+    values = (0, 2, 1, 2)
+    assert RankFunction(values).values is values
+
+
+def test_count_vectors_refuse_entries_that_int_would_change():
+    with pytest.raises(MalformedInputError, match="count vectors must be integers, got 0.5"):
+        tight_sets(F_AB, (0.5, 0))
+    with pytest.raises(MalformedInputError, match="count vectors must be integers, got '1'"):
+        member_polytope(F_AB, ("1", 0))
+    assert tight_sets(F_AB, (1.0, True)) == tight_sets(F_AB, (1, 1))
 
 
 def test_rank_function_sets_its_resource_count_once_outside_its_fields():
@@ -128,12 +151,6 @@ def test_enumerate_base_examples():
     assert enumerate_base(F_AB, 0) == [(0, 0)]
     with pytest.raises(InfeasibleTruncationError):
         enumerate_base(F_AB, 3)
-
-
-def test_enumerate_base_cap():
-    f = RankFunction((0, 3, 3, 6))
-    with pytest.raises(EnumerationTooLargeError):
-        enumerate_base(f, 3, cap=2)
 
 
 def test_bases_nonempty_up_to_full_rank():

@@ -5,11 +5,12 @@ inside them from the independent product scan; every unit-step answer is
 checked against ``member_polytope`` on the stepped vector, and best-response
 tests against the exhaustive minimum weight. Tables and vectors scaled
 together by 2^s reach every packed field width, and their tight sets are
-checked against a subset-by-subset scan.
+checked against a subset-by-subset scan, and so are the union sat(x) and
+each intersection dep(x, s) that ``TightSets`` reads off them.
 """
 
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,9 @@ WIDE_UNIFORM = RankFunction(tuple(min(bin(u).count("1"), 2) << 61 for u in range
 @example((RankFunction((0, MAX_RANK_ENTRY)), (2**64 + 2**63,)))
 # the cap itself, on a table whose every subset is tight
 @example((RankFunction((0, MAX_RANK_ENTRY, 0, MAX_RANK_ENTRY)), (MAX_RANK_ENTRY, 0)))
+# f(empty set) > 0: the empty set is not tight, so x = 0 has no tight set at all
+@example((RankFunction((1, 2)), (0,)))
+@example((RankFunction((1, 2)), (2,)))
 def test_tight_sets_on_scaled_tables_match_the_subset_scan(case):
     f, x = case
     tight = tight_sets(f, x)
@@ -144,6 +148,9 @@ def test_tight_sets_on_scaled_tables_match_the_subset_scan(case):
         expected = tuple(mask for mask, value in enumerate(f.values) if sums[mask] == value)
         assert tight.tight == expected
         assert tight.saturated == reduce(or_, expected, 0)
+        for s in range(f.m):
+            holding = [mask for mask in expected if mask >> s & 1]
+            assert tight.dependent(s) == (reduce(and_, holding) if holding else 0)
 
 
 @DIFFERENTIAL
