@@ -69,7 +69,7 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
     above r is feasible iff r lies outside every tight set. A count vector
     already outside the polytope has no feasible addition.
     """
-    counts = _checked_vector(f, counts)
+    counts = _checked_vector(counts, f.m)
     tight = tight_sets(f, counts)
     if not tight.feasible:
         return []
@@ -135,7 +135,7 @@ def extend_best_response(
     feasible chain element (lowest resource index on ties) is then optimal
     at size + 1, so the result differs in exactly one coordinate by +1.
     """
-    counts = _checked_vector(f, counts)
+    counts = _checked_vector(counts, f.m)
     d = sum(counts)
     _check_demand(f, d + 1)
     _require_coverage(f, w, d + 1)
@@ -156,7 +156,7 @@ def local_improvement(
     can move from r to s iff s is unsaturated or r lies in the smallest
     tight set containing s.
     """
-    counts = _checked_vector(f, counts)
+    counts = _checked_vector(counts, f.m)
     tight = _tight_inside(f, counts)
     _require_coverage(f, w, sum(counts))
     return _best_exchange(counts, *_row_prices(w.weights, counts), tight)
@@ -336,7 +336,7 @@ def repair_best_response(
     ``verify_input_optimal`` re-checks the optimality precondition by
     exhaustive enumeration; intended for debugging at desk scale.
     """
-    counts = _checked_vector(f, counts)
+    counts = _checked_vector(counts, f.m)
     _check_shift_structure(shifted_resource, w_old, w_new)
     if verify_input_optimal:
         best = min(w_old.ideal_weight(x) for x in enumerate_base(f, sum(counts)))

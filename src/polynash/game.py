@@ -20,7 +20,7 @@ from .errors import (
     MalformedInputError,
     ValidationError,
 )
-from .rank import RankFunction, _integers, member_base, validate_rank
+from .rank import RankFunction, _checked_vector, _integers, member_base, validate_rank
 
 __all__ = [
     "CostTable",
@@ -142,14 +142,15 @@ class WeightedGround:
     """Element weights on per-resource chains, nondecreasing along every chain.
 
     ``weights[r][t-1]`` is the weight of position t on resource r's chain.
-    The nondecreasing requirement along each chain is what makes the greedy
-    ideal construction exact, so it is asserted at construction.
+    Weights must be integers (1.0 and True are converted, 1.9 and "1"
+    refused). The nondecreasing requirement along each chain is what makes
+    the greedy ideal construction exact, so it is asserted at construction.
     """
 
     weights: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(int, row)) for row in self.weights)
+        rows = tuple(_integers(row, "weights") for row in self.weights)
         object.__setattr__(self, "weights", rows)
         for r, row in enumerate(rows):
             _check_chain(r, row)
@@ -159,14 +160,10 @@ class WeightedGround:
 
     def ideal_weight(self, counts: Sequence[int]) -> int:
         """Total weight of the ideal taking the first counts[r] positions per chain."""
-        counts = tuple(int(v) for v in counts)
-        if len(counts) != len(self.weights):
-            raise MalformedInputError(
-                f"count vector has length {len(counts)}, expected {len(self.weights)}"
-            )
+        counts = _checked_vector(counts, len(self.weights))
         total = 0
         for r, c in enumerate(counts):
-            if not 0 <= c <= len(self.weights[r]):
+            if c > len(self.weights[r]):
                 raise MalformedInputError(
                     f"count {c} outside resource {r}'s chain of length "
                     f"{len(self.weights[r])}"
@@ -179,14 +176,16 @@ class WeightedGround:
 class Profile:
     """One count vector per player; loads are the per-resource sums.
 
-    The loads are summed once, at construction, and kept outside the
-    dataclass fields, so equality, hashing and repr see only the strategies.
+    Counts must be nonnegative integers (1.0 and True are converted, 1.9 and
+    "1" refused). The loads are summed once, at construction, and kept
+    outside the dataclass fields, so equality, hashing and repr see only the
+    strategies.
     """
 
     strategies: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        strategies = tuple(tuple(map(int, s)) for s in self.strategies)
+        strategies = tuple(_integers(s, "strategy counts") for s in self.strategies)
         object.__setattr__(self, "strategies", strategies)
         if len(set(map(len, strategies))) > 1:
             raise MalformedInputError("strategies must all have the same length")
@@ -365,18 +364,15 @@ def induced_weights(g: GameInstance, i: int, a: Sequence[int]) -> WeightedGround
 
         t * c(a_r + t) - (t - 1) * c(a_r + t - 1)
 
-    so prefix sums reproduce the player's exact private cost. Each row has
-    ``chain_cap`` positions. CostTableRangeError is raised when a table is too
-    short and AdmissibilityError when a row decreases (a table that is not
+    so prefix sums reproduce the player's exact private cost. ``a`` holds one
+    nonnegative integer per resource, checked like a count vector. Each row
+    has ``chain_cap`` positions. CostTableRangeError is raised when a table is
+    too short and AdmissibilityError when a row decreases (a table that is not
     load-sensitive); neither happens on a validated instance.
     """
     if not 0 <= i < g.n:
         raise MalformedInputError(f"player index {i} out of range")
-    loads = tuple(int(v) for v in a)
-    if len(loads) != g.m:
-        raise MalformedInputError(f"load vector has length {len(loads)}, expected {g.m}")
-    if any(v < 0 for v in loads):
-        raise MalformedInputError("opponent loads must be nonnegative")
+    loads = _checked_vector(a, g.m, "opponent loads")
     rows = []
     for r, load in enumerate(loads):
         values, length = g.costs[i][r].values, g.chain_cap(i, r)

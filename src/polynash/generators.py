@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 from .errors import GenerationError, InvariantError, MalformedInputError
 from .game import CostTable, GameInstance, find_ssc_violation
 from .rank import MAX_RESOURCES as MAX_TABLE_RESOURCES
-from .rank import RankFunction, validate_rank
+from .rank import RankFunction, _integers, validate_rank
 
 __all__ = [
     "MatroidSpec",
@@ -70,7 +70,9 @@ class MatroidSpec:
     Resources map to the ground set by index. ``uniform`` takes any set of
     at most ``rank`` resources; ``partition`` caps each block of resources
     separately; ``graphic`` treats resource j as edge j of a multigraph
-    (self-loops allowed, contributing nothing). Every induced rank table is
+    (self-loops allowed, contributing nothing). Ranks, block resources, caps
+    and edge endpoints must be integers (1.0 and True are converted, 1.9 and
+    "1" refused), and each edge a pair. Every induced rank table is
     subcardinal, so single-resource capacities never exceed one.
     """
 
@@ -82,16 +84,17 @@ class MatroidSpec:
 
     @classmethod
     def uniform(cls, rank: int) -> "MatroidSpec":
+        (rank,) = _integers((rank,), "uniform ranks")
         if rank < 0:
             raise MalformedInputError("uniform rank must be nonnegative")
-        return cls(kind="uniform", rank=int(rank))
+        return cls(kind="uniform", rank=rank)
 
     @classmethod
     def partition(
         cls, blocks: Sequence[Sequence[int]], caps: Sequence[int]
     ) -> "MatroidSpec":
-        blocks = tuple(tuple(int(r) for r in b) for b in blocks)
-        caps = tuple(int(c) for c in caps)
+        blocks = tuple(_integers(b, "block resources") for b in blocks)
+        caps = _integers(caps, "block caps")
         if len(blocks) != len(caps):
             raise MalformedInputError("one cap per block required")
         if any(c < 0 for c in caps):
@@ -106,7 +109,10 @@ class MatroidSpec:
 
     @classmethod
     def graphic(cls, edges: Sequence[Sequence[int]]) -> "MatroidSpec":
-        edges = tuple((int(e[0]), int(e[1])) for e in edges)
+        edges = tuple(_integers(e, "edge endpoints") for e in edges)
+        for e in edges:
+            if len(e) != 2:
+                raise MalformedInputError(f"graphic edges must be vertex pairs, got {e}")
         return cls(kind="graphic", edges=edges)
 
     def rank_table(self, m: int) -> RankFunction:
@@ -163,6 +169,8 @@ def gen_singleton(
 
     Player i's rank table is d_i on every subset touching their set and 0
     elsewhere, so any split of d_i over the allowed resources is feasible.
+    Demands and resource indices must be integers (1.0 and True are
+    converted, 1.9 and "1" refused).
     """
     n = len(demands)
     if n == 0 or len(resource_sets) != n or len(costs) != n:
@@ -174,12 +182,11 @@ def gen_singleton(
             f"resource count must be at most {MAX_TABLE_RESOURCES}, got {m}"
         )
     names = _resource_names(m, resource_names)
-    demands = tuple(int(d) for d in demands)
+    demands = _integers(demands, "demands")
     ranks = []
     for i in range(n):
         allowed = 0
-        for r in resource_sets[i]:
-            r = int(r)
+        for r in _integers(resource_sets[i], "resource indices"):
             if not 0 <= r < m:
                 raise MalformedInputError(f"player {i} resource index {r} out of range")
             allowed |= 1 << r

@@ -58,12 +58,13 @@ def _within_capacities(rank_values: tuple[int, ...], x: Sequence[int]) -> bool:
     return True
 
 
-def enumerate_strategies(
-    g: GameInstance, i: int, demand: int | None = None, cap: int | None = None
-) -> list[tuple[int, ...]]:
-    """Every feasible count vector for player i at the given demand, ascending."""
-    d = g.demands[i] if demand is None else int(demand)
-    limit = _cap(STRATEGY_CAP) if cap is None else cap
+def enumerate_strategies(g: GameInstance, i: int) -> list[tuple[int, ...]]:
+    """Every feasible count vector for player i at their demand, ascending.
+
+    Raises EnumerationTooLargeError past ``STRATEGY_CAP`` or POLYNASH_MAX_ENUM.
+    """
+    d = g.demands[i]
+    limit = _cap(STRATEGY_CAP)
     values = g.ranks[i].values
     m = g.m
     out: list[tuple[int, ...]] = []

@@ -171,12 +171,13 @@ def _lowest_field(flags: int, w: int) -> int:
     return ((flags ^ (flags - 1)).bit_length() - 1) // w
 
 
-def _checked_vector(f: RankFunction, x: Sequence[int]) -> tuple[int, ...]:
-    vec = _integers(x, "count vectors")
-    if len(vec) != f.m:
-        raise MalformedInputError(f"vector has length {len(vec)}, expected {f.m}")
+def _checked_vector(x: Iterable, m: int, what: str = "count vectors") -> tuple[int, ...]:
+    """x as m nonnegative ints by the rule of :func:`_integers`; errors name ``what``."""
+    vec = _integers(x, what)
+    if len(vec) != m:
+        raise MalformedInputError(f"{what} must have length {m}, got {len(vec)}")
     if vec and min(vec) < 0:
-        raise MalformedInputError("count vectors must be nonnegative")
+        raise MalformedInputError(f"{what} must be nonnegative")
     return vec
 
 
@@ -229,7 +230,7 @@ def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
     guard bit. Answers the same membership question as :func:`member_polytope`
     (the subset-by-subset reference); unit-step answers need f submodular.
     """
-    vec = _checked_vector(f, x)
+    vec = _checked_vector(x, f.m)
     if sum(vec) > f.rank_of_all:
         return TightSets(False, 0, ())
     w = f.width
@@ -254,7 +255,7 @@ def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
 
 def member_polytope(f: RankFunction, x: Sequence[int]) -> bool:
     """True iff the count vector x satisfies every subset capacity of f."""
-    vec = _checked_vector(f, x)
+    vec = _checked_vector(x, f.m)
     values = f.values
     for mask in range(1, len(values)):
         total = 0
@@ -281,7 +282,7 @@ def _check_demand(f: RankFunction, d: int) -> None:
 def member_base(f: RankFunction, d: int, x: Sequence[int]) -> bool:
     """True iff x lies in the polytope of f and its entries sum to exactly d."""
     _check_demand(f, d)
-    vec = _checked_vector(f, x)
+    vec = _checked_vector(x, f.m)
     return sum(vec) == d and tight_sets(f, vec).feasible
 
 

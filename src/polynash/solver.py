@@ -120,21 +120,15 @@ def marginal_vector(
             if own == 0:
                 continue
             values = g.costs[i][r].values
-            load = loads[r]
-            if r == overloaded:
-                if load >= len(values):
-                    raise CostTableRangeError(
-                        f"load {load} outside cost table of length {len(values)}"
-                    )
-                delta = values[load] * own - values[load - 1] * (own - 1)
-            else:
-                if load + 1 >= len(values):
-                    raise CostTableRangeError(
-                        f"player {i} cost table on resource {r} covers loads up to "
-                        f"{len(values) - 1}, marginal evaluation needs {load + 1}"
-                    )
-                delta = values[load + 1] * own - values[load] * (own - 1)
-            marginals += repeat(delta, own)
+            k = loads[r] + (r != overloaded)  # the load the unit is priced at
+            if k >= len(values):
+                raise CostTableRangeError(
+                    f"load {k} outside cost table of length {len(values)}"
+                    if r == overloaded
+                    else f"player {i} cost table on resource {r} covers loads up to "
+                    f"{len(values) - 1}, marginal evaluation needs {k}"
+                )
+            marginals += repeat(values[k] * own - values[k - 1] * (own - 1), own)
     return tuple(sorted(marginals, reverse=True))
 
 

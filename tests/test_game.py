@@ -19,7 +19,12 @@ from polynash import (
     induced_weights,
     private_cost,
 )
-from polynash.generators import gen_random, random_convex_table
+from polynash.generators import (
+    MatroidSpec,
+    gen_random,
+    gen_singleton,
+    random_convex_table,
+)
 
 from helpers import ssc_ok
 
@@ -319,6 +324,67 @@ def test_game_instance_refuses_a_demand_that_int_would_change():
     with pytest.raises(MalformedInputError, match="demands must be integers, got None"):
         GameInstance(("a",), (None,), (f,), costs)
     assert GameInstance(("a",), (2.0,), (f,), costs).demands == (2,)
+
+
+ONE_RESOURCE = GameInstance(("a",), (3,), (RankFunction((0, 3)),), (((0, 1, 2, 3),),))
+
+
+@pytest.mark.parametrize("bad", [1.9, "1"])
+@pytest.mark.parametrize(
+    "what, build",
+    [
+        pytest.param("strategy counts", lambda v: Profile(((v, 0),)), id="Profile"),
+        pytest.param("weights", lambda v: WeightedGround(((1, v),)), id="WeightedGround"),
+        pytest.param(
+            "count vectors",
+            lambda v: WeightedGround(((1, 5),)).ideal_weight((v,)),
+            id="ideal_weight",
+        ),
+        pytest.param(
+            "opponent loads",
+            lambda v: induced_weights(ONE_RESOURCE, 0, (v,)),
+            id="induced_weights",
+        ),
+        pytest.param(
+            "demands",
+            lambda v: gen_singleton([[0]], [v], [[(0, 1, 2, 3)]]),
+            id="gen_singleton-demand",
+        ),
+        pytest.param(
+            "resource indices",
+            lambda v: gen_singleton([[v]], [1], [[(0, 1, 2, 3)]]),
+            id="gen_singleton-resource",
+        ),
+        pytest.param("uniform ranks", MatroidSpec.uniform, id="uniform-rank"),
+        pytest.param(
+            "block resources",
+            lambda v: MatroidSpec.partition([[0, v]], [1]),
+            id="partition-block",
+        ),
+        pytest.param(
+            "block caps", lambda v: MatroidSpec.partition([[0]], [v]), id="partition-cap"
+        ),
+        pytest.param(
+            "edge endpoints", lambda v: MatroidSpec.graphic([(0, v)]), id="graphic-edge"
+        ),
+    ],
+)
+def test_library_inputs_refuse_entries_that_int_would_change(what, build, bad):
+    with pytest.raises(MalformedInputError) as err:
+        build(bad)
+    assert str(err.value) == f"{what} must be integers, got {bad!r}"
+
+
+def test_vector_inputs_name_their_expected_length():
+    with pytest.raises(MalformedInputError) as err:
+        induced_weights(ONE_RESOURCE, 0, (0, 0))
+    assert str(err.value) == "opponent loads must have length 1, got 2"
+    with pytest.raises(MalformedInputError) as err:
+        WeightedGround(((1, 5),)).ideal_weight(())
+    assert str(err.value) == "count vectors must have length 1, got 0"
+    with pytest.raises(MalformedInputError) as err:
+        MatroidSpec.graphic([(0, 1, 2)])
+    assert str(err.value) == "graphic edges must be vertex pairs, got (0, 1, 2)"
 
 
 def test_one_pass_checks_keep_their_messages_and_coercions():

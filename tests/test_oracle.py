@@ -45,12 +45,6 @@ def test_oracle_zero_demand_and_unique_base():
     assert strategy == (0,) and cost == 0
 
 
-def test_enumerate_strategies_cap():
-    g = gen_random(1, 2, 3, 3)
-    with pytest.raises(EnumerationTooLargeError):
-        enumerate_strategies(g, 0, cap=0)
-
-
 def test_verify_pne_on_the_two_player_example():
     g = shared_pool_instance()
     profile, _ = compute_pne(g)
