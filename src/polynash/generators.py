@@ -348,7 +348,10 @@ def gen_random(
     ``cost_family`` picks how tables are drawn: convex nondecreasing ones
     (always load-sensitive), or tables rejection-sampled directly against
     the truncated load-sensitivity check (non-convex specimens allowed).
+    The seed and the sizes must be integers (1.0 and True are converted, 1.9
+    and "1" refused).
     """
+    seed, n, m, max_demand = _integers((seed, n, m, max_demand), "seeds and sizes")
     if not 1 <= n <= MAX_PLAYERS:
         raise MalformedInputError(f"player count must be in [1, {MAX_PLAYERS}]")
     if not 1 <= m <= MAX_RESOURCES:

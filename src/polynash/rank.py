@@ -14,7 +14,7 @@ from array import array
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InfeasibleTruncationError, MalformedInputError
 
@@ -181,8 +181,7 @@ def _checked_vector(x: Iterable, m: int, what: str = "count vectors") -> tuple[i
     return vec
 
 
-@dataclass(frozen=True)
-class TightSets:
+class TightSets(NamedTuple):
     """The tight subsets {U : x(U) = f(U)} of a count vector x, from tight_sets.
 
     For a submodular f, such as a polymatroid, and x inside its polytope the
@@ -197,7 +196,9 @@ class TightSets:
       exactly when s is outside sat(x) or r lies in dep(x, s).
 
     When ``feasible`` is False, x violates some capacity, ``tight`` is empty
-    and the unit-step answers are meaningless.
+    and the unit-step answers are meaningless. Like every record the solve
+    builds in bulk, this is a named tuple: cheap to build, immutable, and
+    equal to the plain tuple of its fields.
     """
 
     feasible: bool

@@ -98,11 +98,14 @@ def _int_field(value, what: str) -> int:
     return value
 
 
-def _int_tuple(values: list, what: str) -> tuple[int, ...]:
-    """The entries of a JSON array that must all be integers (bool is a type of its own)."""
+def _int_tuple(values: list, what: str, *args) -> tuple[int, ...]:
+    """The entries of a JSON array that must all be integers (bool is a type of its own).
+
+    Errors name ``what.format(*args)``, which is formatted only on failure.
+    """
     if set(map(type, values)) <= {int}:
         return tuple(values)
-    return tuple(_int_field(v, what) for v in values)
+    return tuple(_int_field(v, what.format(*args)) for v in values)
 
 
 def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
@@ -112,7 +115,7 @@ def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
             len(raw) == 1 << m,
             f"player {player} dense rank table has length {len(raw)}, expected {1 << m}",
         )
-        return _rank_table(_int_tuple(raw, f"player {player} rank entry"), player)
+        return _rank_table(_int_tuple(raw, "player {} rank entry", player), player)
     _require(isinstance(raw, dict), f"player {player} rank must be an array or a map")
     index = {name: r for r, name in enumerate(names)}
     table = [None] * (1 << m)
@@ -181,6 +184,7 @@ def parse_instance(data: bytes | str) -> GameInstance:
     )
     players = doc.get("players")
     _require(isinstance(players, list), "players must be a list")
+    known = set(names)
     demands: list[int] = []
     ranks: list[RankFunction] = []
     costs: list[tuple[CostTable, ...]] = []
@@ -190,24 +194,19 @@ def parse_instance(data: bytes | str) -> GameInstance:
         ranks.append(_parse_rank(entry.get("rank"), names, i))
         cost_map = entry.get("costs")
         _require(isinstance(cost_map, dict), f"player {i} costs must be a map")
-        unknown = set(cost_map) - set(names)
-        _require(
-            not unknown,
-            f"player {i} costs name unknown resources {sorted(unknown)}",
-        )
+        # checks run per cost table build their messages only when they fail
+        if not cost_map.keys() <= known:
+            unknown = sorted(set(cost_map) - known)
+            raise ParseError(f"player {i} costs name unknown resources {unknown}")
         row = []
         for name in names:
-            _require(
-                name in cost_map, f"player {i} costs are missing resource {name!r}"
-            )
+            if name not in cost_map:
+                raise ParseError(f"player {i} costs are missing resource {name!r}")
             values = cost_map[name]
-            _require(
-                isinstance(values, list),
-                f"player {i} cost table for {name!r} must be an array",
-            )
-            row.append(
-                CostTable(_int_tuple(values, f"player {i} cost entry on {name!r}"))
-            )
+            if not isinstance(values, list):
+                raise ParseError(f"player {i} cost table for {name!r} must be an array")
+            entries = _int_tuple(values, "player {} cost entry on {!r}", i, name)
+            row.append(CostTable(entries))
         costs.append(tuple(row))
     return GameInstance(names, tuple(demands), tuple(ranks), tuple(costs))
 
@@ -301,18 +300,21 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
     kinds = {kind: _encode(kind) for kind in _EVENT_KINDS}
     names = tuple(map(_encode, g.resources))
     marginal, joined = (), ""
-    for e in trace.events:
-        if e.marginal_sorted is not marginal:
-            marginal = e.marginal_sorted
+    # each event is a named tuple, unpacked in field order
+    for kind, outer, inner, player, unit, source, target, over, marginal_sorted in (
+        trace.events
+    ):
+        if marginal_sorted is not marginal:
+            marginal = marginal_sorted
             joined = ",".join(map(str, marginal))
         lines.append(
-            f'{{"kind":{kinds.get(e.kind) or _encode(e.kind)},'
-            f'"outer":{e.outer},"inner":{e.inner},'
-            f'"player":{"null" if e.player is None else e.player},'
-            f'"unit":{"null" if e.unit is None else e.unit},'
-            f'"from":{"null" if e.from_resource is None else names[e.from_resource]},'
-            f'"to":{"null" if e.to_resource is None else names[e.to_resource]},'
-            f'"overloaded":{"null" if e.overloaded is None else names[e.overloaded]},'
+            f'{{"kind":{kinds.get(kind) or _encode(kind)},'
+            f'"outer":{outer},"inner":{inner},'
+            f'"player":{"null" if player is None else player},'
+            f'"unit":{"null" if unit is None else unit},'
+            f'"from":{"null" if source is None else names[source]},'
+            f'"to":{"null" if target is None else names[target]},'
+            f'"overloaded":{"null" if over is None else names[over]},'
             f'"marginal":[{joined}]}}'
         )
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -14,11 +14,12 @@ import random
 from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bestresponse import SwapStep, _SettleState, is_best_response, repair_best_response
 from .errors import CostTableRangeError, InvariantError, MalformedInputError
 from .game import GameInstance, Profile, induced_weights
+from .rank import _integers
 
 __all__ = [
     "SolverPolicy",
@@ -64,11 +65,16 @@ class SolverPolicy:
                 f"unknown player selection {self.player_selection!r}; "
                 f"expected one of {PLAYER_SELECTION_MODES}"
             )
+        if self.seed is not None:
+            (seed,) = _integers((self.seed,), "seeds")
+            object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One step of a solve; resource fields are indices into the instance's list."""
+class TraceEvent(NamedTuple):
+    """One step of a solve; resource fields are indices into the instance's list.
+
+    A named tuple, which the solve loop builds positionally, in field order.
+    """
 
     kind: str
     outer: int
@@ -180,15 +186,27 @@ def improving_players(
 
 
 def _check_state(
-    g: GameInstance, p: Profile, over: int, found: tuple[int | None, SwapStep | None]
+    g: GameInstance,
+    p: Profile,
+    over: int,
+    kept: tuple[int, ...],
+    found: tuple[int | None, SwapStep | None],
 ) -> None:
-    """Debug check of one state: the settle search against the reference scan.
+    """Debug check of one state: the kept marginals and the settle search.
 
-    The reference is the first improvable player of the full locality scan
-    together with the exchange of its :func:`repair_best_response`, fresh
-    from the instance: the weights rose only on ``over``, and the repair
-    confirms by enumeration that the mover's x was optimal before that.
+    The kept marginal vector must equal :func:`marginal_vector` recomputed
+    from the strategies. The search's reference is the first improvable
+    player of the full locality scan together with the exchange of its
+    :func:`repair_best_response`, fresh from the instance: the weights rose
+    only on ``over``, and the repair confirms by enumeration that the mover's
+    x was optimal before that.
     """
+    marginals = marginal_vector(g, p.strategies, over)
+    if kept != marginals:
+        raise InvariantError(
+            f"kept marginal vector {kept} is not the recomputed {marginals}; "
+            f"strategies={list(p.strategies)} overloaded={over}"
+        )
     reference = improving_players(g, p, over)
     expected: tuple[int | None, SwapStep | None] = (None, None)
     if reference:
@@ -208,20 +226,27 @@ def _check_state(
         )
 
 
-def _pick_player(
-    policy: SolverPolicy,
-    demands: tuple[int, ...],
-    homes: list[list[int]],
-    rng: random.Random,
-    cursor: int,
-) -> tuple[int, int]:
-    eligible = [i for i, d in enumerate(demands) if len(homes[i]) < d]
+def _insertion_order(policy: SolverPolicy, demands: tuple[int, ...]) -> Iterator[int]:
+    """The player who receives each demand unit, in insertion order."""
     if policy.player_selection == "min_index":
-        return eligible[0], cursor
+        for i, d in enumerate(demands):
+            yield from repeat(i, d)
+        return
+    left, n = list(demands), len(demands)
     if policy.player_selection == "round_robin":
-        i = min(eligible, key=lambda k: (k - cursor) % len(demands))
-        return i, i + 1
-    return rng.choice(eligible), cursor
+        cursor = 0
+        for _ in range(sum(demands)):
+            # the first player from the cursor on, cyclically, with units left
+            i = next(k % n for k in range(cursor, cursor + n) if left[k % n])
+            left[i] -= 1
+            cursor = i + 1
+            yield i
+        return
+    rng = random.Random(0 if policy.seed is None else policy.seed)
+    for _ in range(sum(demands)):
+        i = rng.choice([k for k, d in enumerate(left) if d])
+        left[i] -= 1
+        yield i
 
 
 def compute_pne(
@@ -232,37 +257,29 @@ def compute_pne(
     The returned profile makes every player's strategy a best response. The
     trace records every insertion and every improvement move together with
     the sorted marginal-cost vector after it. The solve's position (its
-    strategies, loads and unit homes) lives in one settle state, which prices
-    each move from the loads; a ``Profile`` is built for the result and, under
+    strategies, loads and unit homes) lives in one settle state, which keeps
+    each player's move prices and the marginal values up to date as units
+    are placed and moved; a ``Profile`` is built for the result and, under
     ``debug_assertions``, for each state's reference check.
     """
     policy = policy or SolverPolicy()
     events: list[TraceEvent] = []
-    rng = random.Random(0 if policy.seed is None else policy.seed)
-    cursor = 0
     total_moves = 0
     total_cap = iteration_bound(g)
     step_cap = insertion_step_bound(g)
     settle = _SettleState(g)
     strategies = settle.strategies
 
-    for outer in range(1, g.total_demand + 1):
-        i, cursor = _pick_player(policy, g.demands, settle.homes, rng, cursor)
+    for outer, i in enumerate(_insertion_order(policy, g.demands), 1):
         settled = tuple(settle.loads)
         over = settle.insert(i)
         unit = len(settle.homes[i])
-        events.append(TraceEvent(EVENT_DEMAND_INCREASE, outer, 0, player=i, unit=unit))
-        snapshot = marginal_vector(g, strategies, over)
+        snapshot = settle.marginals()
+        # events are built positionally, in TraceEvent's field order
+        events.append(TraceEvent(EVENT_DEMAND_INCREASE, outer, 0, i, unit))
         events.append(
             TraceEvent(
-                EVENT_GREEDY_EXTEND,
-                outer,
-                0,
-                player=i,
-                unit=unit,
-                to_resource=over,
-                overloaded=over,
-                marginal_sorted=snapshot,
+                EVENT_GREEDY_EXTEND, outer, 0, i, unit, None, over, over, snapshot
             )
         )
         inner = 0
@@ -270,7 +287,7 @@ def compute_pne(
             # the first improvable holder moves by the exchange that shows it
             j, swap = settle.first_move(over)
             if policy.debug_assertions:
-                _check_state(g, Profile(tuple(strategies)), over, (j, swap))
+                _check_state(g, Profile(tuple(strategies)), over, snapshot, (j, swap))
             if swap is None:
                 break
             inner += 1
@@ -309,7 +326,7 @@ def compute_pne(
                     f"{loads} summed from the strategies"
                 )
             over = to_r
-            nxt = marginal_vector(g, strategies, over)
+            nxt = settle.marginals()
             if not nxt < snapshot:
                 raise InvariantError(
                     "sorted marginal vector failed to strictly decrease: "
@@ -320,22 +337,18 @@ def compute_pne(
                     EVENT_IMPROVEMENT_MOVE,
                     outer,
                     inner,
-                    player=j,
-                    unit=unit_idx + 1,
-                    from_resource=from_r,
-                    to_resource=to_r,
-                    overloaded=over,
-                    marginal_sorted=nxt,
+                    j,
+                    unit_idx + 1,
+                    from_r,
+                    to_r,
+                    over,
+                    nxt,
                 )
             )
             snapshot = nxt
         events.append(
             TraceEvent(
-                EVENT_EQUILIBRIUM,
-                outer,
-                inner,
-                overloaded=over,
-                marginal_sorted=snapshot,
+                EVENT_EQUILIBRIUM, outer, inner, None, None, None, None, over, snapshot
             )
         )
     return Profile(tuple(strategies)), Trace(tuple(events))

@@ -185,6 +185,17 @@ def test_gen_random_rejects_out_of_range_parameters():
         gen_random(0, 2, 3, 99)
     with pytest.raises(MalformedInputError):
         gen_random(0, 2, 3, 3, "concave")
+    # the seed and the sizes follow the library's one integer rule
+    for args, value in (
+        ((1.9, 2, 2, 2), "1.9"),
+        (("1", 2, 2, 2), "'1'"),
+        ((1, 2.5, 2, 2), "2.5"),
+        ((1, 2, 2, 2.5), "2.5"),
+    ):
+        with pytest.raises(MalformedInputError) as err:
+            gen_random(*args)
+        assert str(err.value) == f"seeds and sizes must be integers, got {value}"
+    assert gen_random(1.0, True, 2, 2.0) == gen_random(1, 1, 2, 2)
 
 
 def test_ssc_table_rejection_budget_raises_cleanly():

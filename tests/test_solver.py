@@ -219,6 +219,11 @@ def test_round_robin_deals_units_cyclically_skipping_finished_players():
 def test_policy_rejects_unknown_selection():
     with pytest.raises(MalformedInputError):
         SolverPolicy("fastest_first")
+    for seed in (1.9, "1"):
+        with pytest.raises(MalformedInputError) as err:
+            SolverPolicy("seeded_random", seed=seed)
+        assert str(err.value) == f"seeds must be integers, got {seed!r}"
+    assert SolverPolicy("seeded_random", seed=2.0).seed == 2
 
 
 def test_repeated_runs_are_identical():
@@ -515,13 +520,16 @@ def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
         for homes, x in zip(self.homes, self.strategies):
             assert Counter(homes) == Counter({r: c for r, c in enumerate(x) if c})
         assert self.loads == [sum(column) for column in zip(*self.strategies)]
-        # each player's two prices per resource are positions x_r and x_r + 1
-        # of its fresh weight rows
+        # each player's two kept prices per resource are positions x_r and
+        # x_r + 1 of its fresh weight rows
         for i, x in enumerate(self.strategies):
             rows = induced_weights(g, i, tuple(map(sub, self.loads, x))).weights
             top = [row[c - 1] if c else None for row, c in zip(rows, x)]
             nxt = [row[c] if c < len(row) else None for row, c in zip(rows, x)]
-            assert self.prices(i, x) == (top, nxt), (i, x, self.loads)
+            assert (self.top[i], self.nxt[i]) == (top, nxt), (i, x, self.loads)
+        # the kept marginal vector is the one recomputed from the strategies
+        assert self.over == over
+        assert self.marginals() == marginal_vector(g, self.strategies, over)
         p = Profile(tuple(self.strategies))
         found = real_first_move(self, over)
         searches.append((p, over, found))
@@ -592,3 +600,18 @@ def test_the_debug_solve_compares_the_settle_search_with_the_reference_scan(
         compute_pne(g, SolverPolicy(debug_assertions=True))
 
 
+def test_the_debug_solve_compares_the_kept_marginals_with_the_recomputed_vector(
+    monkeypatch,
+):
+    # the crippled kept vector loses its lowest unit, and still decreases
+    real = solver._SettleState.marginals
+    monkeypatch.setattr(solver._SettleState, "marginals", lambda self: real(self)[:-1])
+    g = _arrival_game()
+    _, trace = compute_pne(g)  # without the comparison the loss goes unnoticed
+    assert trace.events[-1].marginal_sorted == (3,)
+    with pytest.raises(InvariantError) as err:
+        compute_pne(g, SolverPolicy(debug_assertions=True))
+    assert str(err.value) == (
+        "kept marginal vector () is not the recomputed (1,); "
+        "strategies=[(1, 0), (0, 0)] overloaded=0"
+    )

@@ -12,11 +12,12 @@ every violation.
 """
 
 from itertools import accumulate, product
+from operator import sub
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polynash import RankFunction, find_ssc_violation, validate_rank
+from polynash import RankFunction, find_ssc_violation, game, validate_rank
 from polynash.generators import random_rank
 from polynash.rank import MAX_RANK_ENTRY
 
@@ -186,6 +187,18 @@ def test_the_linear_pass_matches_the_neighbour_scan_on_long_tables(case):
         a, b, x, y = quad
         assert 1 <= x <= y <= u and 0 <= a <= b and b + y <= len(values) - 1
         assert _bill(values, a, x) > _bill(values, b, y)
+
+
+@DIFFERENTIAL
+@given(long_table_case())
+def test_the_convex_accept_matches_the_full_pass(case):
+    # convex tables with d_1 >= 0 skip the pass; every other table, kinked or
+    # with negative differences, gets its answer and witness from it
+    values, u = case
+    expected = None
+    if u >= 1 and len(values) >= 3:
+        expected = game._ssc_pass(tuple(map(sub, values[1:], values[:-1])), u)
+    assert find_ssc_violation(values, u) == expected
 
 
 def test_the_linear_pass_matches_the_neighbour_scan_on_every_short_table():
