@@ -1,16 +1,18 @@
-"""Rank tables: validation, membership, and base enumeration.
+"""Rank tables: validation, membership, tight sets, and base enumeration.
 
 A rank table assigns an integer capacity to every subset of resources. When
 it is normalized, monotone, and submodular, the count vectors respecting all
-subset capacities form the feasible splits of a demand. This script walks
-through all of it on a two-resource table.
+subset capacities form the feasible splits of a demand. A subset is tight
+for a vector when the vector fills its capacity exactly; one pass over the
+subsets finds them all, and they say which unit steps stay feasible. This
+script walks through all of it on a two-resource table.
 """
 
 from polynash import (
     RankFunction,
     enumerate_base,
     member_base,
-    member_polytope,
+    tight_sets,
     validate_rank,
 )
 
@@ -22,9 +24,22 @@ print("validation witness (None when valid):", validate_rank(f))
 broken = RankFunction((0, 1, 1, 3))
 print("broken table witness:", validate_rank(broken))
 
-print("\nmembership against every subset capacity:")
-for vector in ((1, 1), (2, 0), (0, 2)):
-    print(f"  {vector}: polytope={member_polytope(f, vector)}")
+def subset(mask: int) -> str:
+    """The resources of a subset bitmask, by name."""
+    return "{" + ",".join(name for r, name in enumerate("ab") if mask >> r & 1) + "}"
+
+
+print("\nmembership and tight sets, one pass over the subsets each:")
+for vector in ((1, 0), (1, 1), (2, 0), (0, 2)):
+    tight = tight_sets(f, vector)
+    print(f"  {vector}: feasible={tight.feasible}", end="")
+    if tight.feasible:
+        # sat(x), the union of the tight sets: no resource in it takes one
+        # more unit. dep(x, s), the smallest tight set holding s: a unit
+        # moves onto a saturated s only from inside it
+        deps = (f"dep({s})={subset(tight.dependent(r))}" for r, s in enumerate("ab"))
+        print(f" sat={subset(tight.saturated)}", *deps, end="")
+    print()
 print("  (2,0) an exact split of 2 units?", member_base(f, 2, (2, 0)))
 
 print("\nall exact splits of 2 units:", enumerate_base(f, 2))

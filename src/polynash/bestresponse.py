@@ -5,11 +5,11 @@ the induced per-element weights its total weight equals the player's
 private cost. Best responses are therefore minimum-weight ideals of a fixed
 size: built greedily from scratch, extended by one element when the demand
 grows, and repaired by one swap when the weights of a single chain rise.
+The solver's settle state runs the same addition and exchange loops.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
@@ -198,168 +198,6 @@ def _best_exchange(
         return None
     r, s = best
     return SwapStep((r, counts[r]), (s, counts[s] + 1), gain)
-
-
-class _SettleState:
-    """One solve's position, plus what the solve has worked out about its players.
-
-    The position is ``strategies`` (one count tuple per player), ``loads``
-    (their per-resource sums), ``homes`` (the resource of each placed unit,
-    per player, in placement order) and ``over``, the overloaded resource
-    (None before the first insertion). Only :meth:`insert` and :meth:`move`
-    change it, each in two coordinates at most. Each of them updates two
-    kept values only where the position changed:
-
-    - ``top[i]`` and ``nxt[i]``, player i's two prices per resource, both
-      from the cost table at the current load L: x_r units on r price their
-      top unit at x_r * c(L) - (x_r - 1) * c(L - 1) (None when x_r = 0) and
-      one more at (x_r + 1) * c(L + 1) - x_r * c(L) (None at ``chain_cap``).
-      They are positions x_r and x_r + 1 of
-      :func:`~polynash.game.induced_weights`, whose range and order checks
-      cannot fail on a validated instance. They depend on r's load and the
-      player's own count there, so a changed load re-prices, on that
-      resource alone, every player who can hold units there.
-    - The marginal values of the placed units (see
-      :func:`~polynash.solver.marginal_vector`), kept as one ascending list.
-      The units one player keeps on one resource form a group sharing a
-      value, priced at load index L + [r != over]. A move off ``over``
-      keeps that index for every group but the mover's two; an insertion
-      raises it for the groups on the old ``over`` and changes the
-      inserter's group.
-
-    Each player's last (x, tight sets) is kept as well, and replaced when a
-    lookup brings a new x; the polytope check runs when that entry is built.
-    Insertions and the mover search read it.
-    """
-
-    def __init__(self, g: GameInstance) -> None:
-        self.g = g
-        self.strategies: list[tuple[int, ...]] = [(0,) * g.m] * g.n
-        self.loads = [0] * g.m
-        self.homes: list[list[int]] = [[] for _ in range(g.n)]
-        self.over: int | None = None
-        self._values = [[t.values for t in row] for row in g.costs]
-        # per resource, each player who can hold units there: (player, costs, cap)
-        self._chains = [
-            [
-                (i, g.costs[i][r].values, cap)
-                for i in range(g.n)
-                if (cap := g.chain_cap(i, r))
-            ]
-            for r in range(g.m)
-        ]
-        self._tight: list[tuple[tuple[int, ...], TightSets] | None] = [None] * g.n
-        self.top: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
-        self.nxt: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
-        for r in range(g.m):
-            self._reprice(r)
-        # each (player, resource) group's marginal value, None when empty
-        self._groups: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
-        self._marginals: list[int] = []  # ascending, one entry per placed unit
-
-    def _reprice(self, r: int) -> None:
-        """Every player's two prices on resource r, at its current load."""
-        load, strategies, top, nxt = self.loads[r], self.strategies, self.top, self.nxt
-        # a player who can hold nothing on r keeps its two None prices there
-        for i, c, cap in self._chains[r]:
-            own = strategies[i][r]
-            here = c[load]
-            top[i][r] = own * here - (own - 1) * c[load - 1] if own else None
-            nxt[i][r] = (own + 1) * c[load + 1] - own * here if own < cap else None
-
-    def _drop(self, groups: list[tuple[int, int]]) -> None:
-        """Take the units of each (player, resource) group out of the kept marginals."""
-        marginals = self._marginals
-        for i, r in groups:
-            value = self._groups[i][r]
-            if value is not None:
-                at = bisect_left(marginals, value)
-                del marginals[at : at + self.strategies[i][r]]
-
-    def _place(self, groups: list[tuple[int, int]]) -> None:
-        """Price each (player, resource) group at the current position and keep it."""
-        marginals, loads, over = self._marginals, self.loads, self.over
-        for i, r in groups:
-            own = self.strategies[i][r]
-            value = None
-            if own:
-                c = self._values[i][r]
-                k = loads[r] + (r != over)  # the load the group is priced at
-                value = own * c[k] - (own - 1) * c[k - 1]
-                at = bisect_left(marginals, value)
-                marginals[at:at] = [value] * own
-            self._groups[i][r] = value
-
-    def marginals(self) -> tuple[int, ...]:
-        """The marginal values of all placed units, non-increasing."""
-        return tuple(reversed(self._marginals))
-
-    def tight(self, i: int, x: tuple[int, ...]) -> TightSets:
-        """Tight sets of player i's strategy x, which must lie in its polytope."""
-        kept = self._tight[i]
-        if kept is not None and kept[0] == x:
-            return kept[1]
-        tight = _tight_inside(self.g.ranks[i], x)
-        self._tight[i] = (x, tight)
-        return tight
-
-    def insert(self, i: int) -> int:
-        """Place player i's cheapest feasible extra unit; return its resource.
-
-        The resource becomes ``over``.
-        """
-        x = self.strategies[i]
-        r = _cheapest_addition(self.nxt[i], self.tight(i, x))
-        # the groups on the old overloaded resource and the inserter's on r
-        over, changed = self.over, []
-        if over is not None:
-            changed = [(k, over) for k, y in enumerate(self.strategies) if y[over]]
-        if over != r or not x[r]:
-            changed.append((i, r))
-        self._drop(changed)
-        self.strategies[i] = x[:r] + (x[r] + 1,) + x[r + 1 :]
-        self.loads[r] += 1
-        self.homes[i].append(r)
-        self.over = r
-        self._reprice(r)
-        self._place(changed)
-        return r
-
-    def exchange(self, i: int) -> SwapStep | None:
-        """Player i's best improving exchange against the others' loads, or None."""
-        x = self.strategies[i]
-        return _best_exchange(x, self.top[i], self.nxt[i], self.tight(i, x))
-
-    def first_move(self, over: int) -> tuple[int, SwapStep] | tuple[None, None]:
-        """The first holder of ``over`` by index with an improving exchange, and it."""
-        for i, x in enumerate(self.strategies):
-            if x[over]:
-                swap = self.exchange(i)
-                if swap is not None:
-                    return i, swap
-        return None, None
-
-    def move(self, j: int, from_r: int, to_r: int) -> int:
-        """Move a unit of player j from ``from_r`` to ``to_r``; return its index.
-
-        ``to_r`` becomes ``over``. ``from_r`` must be the old ``over``: then
-        only player j's groups on the two resources change value.
-        """
-        changed = [(j, from_r)] if from_r == to_r else [(j, from_r), (j, to_r)]
-        self._drop(changed)
-        moved = list(self.strategies[j])
-        moved[from_r] -= 1
-        moved[to_r] += 1
-        self.strategies[j] = tuple(moved)
-        self.loads[from_r] -= 1
-        self.loads[to_r] += 1
-        unit = self.homes[j].index(from_r)
-        self.homes[j][unit] = to_r
-        self.over = to_r
-        self._reprice(from_r)
-        self._reprice(to_r)
-        self._place(changed)
-        return unit
 
 
 def _check_shift_structure(

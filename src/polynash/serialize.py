@@ -231,7 +231,14 @@ def write_instance(g: GameInstance) -> bytes:
 
 
 def write_profile(g: GameInstance, p: Profile) -> bytes:
-    """The bytes of ``json.dumps(doc, indent=2)``, built from names encoded once."""
+    """The bytes of ``json.dumps(doc, indent=2)``, built from names encoded once.
+
+    The profile must hold one strategy per player of ``g``.
+    """
+    if len(p.strategies) != g.n:
+        raise MalformedInputError(
+            f"profile has {len(p.strategies)} players, instance has {g.n}"
+        )
     loads = p.loads(g.m)
     keys = [f"{_encode(name)}: " for name in g.resources]
 
@@ -296,27 +303,32 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
         "players": g.n,
     }
     lines = [json.dumps(header, separators=(",", ":"))]
-    # each event line in its fixed key order, from fragments encoded once
+    # the encoded fragment of each event kind, and of each resource field's
+    # value (None as null); a value the game does not have is refused
     kinds = {kind: _encode(kind) for kind in _EVENT_KINDS}
-    names = tuple(map(_encode, g.resources))
+    names = {None: "null", **dict(enumerate(map(_encode, g.resources)))}
     marginal, joined = (), ""
-    # each event is a named tuple, unpacked in field order
-    for kind, outer, inner, player, unit, source, target, over, marginal_sorted in (
-        trace.events
-    ):
-        if marginal_sorted is not marginal:
-            marginal = marginal_sorted
-            joined = ",".join(map(str, marginal))
-        lines.append(
-            f'{{"kind":{kinds.get(kind) or _encode(kind)},'
-            f'"outer":{outer},"inner":{inner},'
-            f'"player":{"null" if player is None else player},'
-            f'"unit":{"null" if unit is None else unit},'
-            f'"from":{"null" if source is None else names[source]},'
-            f'"to":{"null" if target is None else names[target]},'
-            f'"overloaded":{"null" if over is None else names[over]},'
-            f'"marginal":[{joined}]}}'
-        )
+    try:
+        # each event is a named tuple, unpacked in field order
+        for kind, outer, inner, player, unit, source, target, over, marginal_sorted in (
+            trace.events
+        ):
+            if marginal_sorted is not marginal:
+                marginal = marginal_sorted
+                joined = ",".join(map(str, marginal))
+            lines.append(
+                f'{{"kind":{kinds[kind]},"outer":{outer},"inner":{inner},'
+                f'"player":{"null" if player is None else player},'
+                f'"unit":{"null" if unit is None else unit},'
+                f'"from":{names[source]},"to":{names[target]},'
+                f'"overloaded":{names[over]},"marginal":[{joined}]}}'
+            )
+    except KeyError as exc:
+        k = len(lines) - 1  # the header, then one line per event written
+        raise MalformedInputError(
+            f"trace event {k} holds {exc.args[0]!r}, which is no event kind or "
+            f"resource index of the game: {trace.events[k]}"
+        ) from None
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -11,15 +11,17 @@ move, and the iteration bounds are asserted on every solve.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .bestresponse import SwapStep, _SettleState, is_best_response, repair_best_response
+from .bestresponse import SwapStep, _best_exchange, _cheapest_addition, _tight_inside
+from .bestresponse import is_best_response, repair_best_response
 from .errors import CostTableRangeError, InvariantError, MalformedInputError
 from .game import GameInstance, Profile, induced_weights
-from .rank import _integers
+from .rank import TightSets, _checked_vector, _integers
 
 __all__ = [
     "SolverPolicy",
@@ -117,6 +119,9 @@ def marginal_vector(
     tuple is the quantity that must shrink lexicographically across
     improvement moves.
     """
+    if len(strategies) != g.n:
+        raise MalformedInputError(f"{len(strategies)} strategies for {g.n} players")
+    strategies = [_checked_vector(s, g.m, "strategy counts") for s in strategies]
     if overloaded is not None and not 0 <= overloaded < g.m:
         raise MalformedInputError(f"resource index {overloaded} out of range")
     loads = tuple(map(sum, zip(*strategies)))
@@ -226,6 +231,149 @@ def _check_state(
         )
 
 
+# (player, resource, that player's cost values on it): the units one player
+# keeps on one resource, which share one marginal value
+_Group = tuple[int, int, tuple[int, ...]]
+
+
+class _SettleState:
+    """One solve's position, plus what the solve has worked out about its players.
+
+    The position is ``strategies`` (one count tuple per player), ``loads``
+    (their sums), ``homes`` (the resource of each placed unit, per player,
+    in placement order) and ``over``, the overloaded resource (None before
+    the first insertion). :meth:`insert` and :meth:`move` pick a unit step
+    and the groups it changes; :meth:`_step` alone changes the position,
+    and updates the kept values only where it changed:
+
+    - ``top[i]`` and ``nxt[i]``, player i's prices of its top unit and of
+      one more unit per resource: positions x_r and x_r + 1 of
+      :func:`~polynash.game.induced_weights` at the load there (None where
+      there is no such position);
+    - the marginal values of the placed units (see :func:`marginal_vector`)
+      as one ascending list, which each step changes only in its groups;
+    - each player's tight sets at its current strategy, built with the
+      polytope check by the first lookup after a step changed it.
+    """
+
+    def __init__(self, g: GameInstance) -> None:
+        self.g = g
+        self.strategies: list[tuple[int, ...]] = [(0,) * g.m] * g.n
+        self.loads = [0] * g.m
+        self.homes: list[list[int]] = [[] for _ in range(g.n)]
+        self.over: int | None = None
+        # per resource, each player who can hold units there: (player, costs, cap)
+        self._chains = [
+            [
+                (i, g.costs[i][r].values, cap)
+                for i in range(g.n)
+                if (cap := g.chain_cap(i, r))
+            ]
+            for r in range(g.m)
+        ]
+        self._tight: list[TightSets | None] = [None] * g.n
+        self.top: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
+        self.nxt: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
+        for r in range(g.m):
+            self._reprice(r)
+        self._marginals: list[int] = []  # ascending, one entry per placed unit
+
+    def _reprice(self, r: int) -> None:
+        """Every player's two prices on resource r, at its current load."""
+        load, strategies, top, nxt = self.loads[r], self.strategies, self.top, self.nxt
+        # a player who can hold nothing on r keeps its two None prices there
+        for i, c, cap in self._chains[r]:
+            own = strategies[i][r]
+            here = c[load]
+            top[i][r] = own * here - (own - 1) * c[load - 1] if own else None
+            nxt[i][r] = (own + 1) * c[load + 1] - own * here if own < cap else None
+
+    def _holders(self, r: int) -> list[_Group]:
+        """The nonempty groups on resource r, by player index."""
+        strategies = self.strategies
+        # only a player who can hold units on r is in its chain list
+        return [(i, r, c) for i, c, _ in self._chains[r] if strategies[i][r]]
+
+    def _step(self, i: int, from_r: int | None, to_r: int, groups: list[_Group]) -> int:
+        """Move player i's unit from ``from_r`` (None: a new unit) to ``to_r``.
+
+        ``to_r`` becomes ``over``; ``groups`` must hold every group whose
+        marginal value the step changes. Returns the unit's index.
+        """
+        marginals, strategies, loads = self._marginals, self.strategies, self.loads
+        # a group's value is priced at load index L + [r != over]: take out
+        # the changed groups' values before the step, put them back after it
+        for j, r, c in groups:
+            if own := strategies[j][r]:
+                k = loads[r] + (r != self.over)
+                at = bisect_left(marginals, own * c[k] - (own - 1) * c[k - 1])
+                del marginals[at : at + own]
+        x, homes = list(strategies[i]), self.homes[i]
+        x[to_r] += 1
+        loads[to_r] += 1
+        if from_r is None:
+            unit = len(homes)
+            homes.append(to_r)
+        else:
+            x[from_r] -= 1
+            loads[from_r] -= 1
+            unit = homes.index(from_r)
+            homes[unit] = to_r
+        strategies[i], self._tight[i], self.over = tuple(x), None, to_r
+        for r in (to_r,) if from_r is None else (from_r, to_r):
+            self._reprice(r)
+        for j, r, c in groups:
+            if own := strategies[j][r]:
+                k = loads[r] + (r != to_r)
+                value = own * c[k] - (own - 1) * c[k - 1]
+                at = bisect_left(marginals, value)
+                marginals[at:at] = [value] * own
+        return unit
+
+    def marginals(self) -> tuple[int, ...]:
+        """The marginal values of all placed units, non-increasing."""
+        return tuple(reversed(self._marginals))
+
+    def tight(self, i: int, x: tuple[int, ...]) -> TightSets:
+        """Tight sets of player i's current strategy x, inside its polytope."""
+        tight = self._tight[i]
+        if tight is None:
+            tight = self._tight[i] = _tight_inside(self.g.ranks[i], x)
+        return tight
+
+    def insert(self, i: int) -> int:
+        """Place player i's cheapest feasible extra unit; return its resource."""
+        x = self.strategies[i]
+        r = _cheapest_addition(self.nxt[i], self.tight(i, x))
+        # the groups on the old overloaded resource and the inserter's on r
+        groups = [] if self.over is None else self._holders(self.over)
+        if self.over != r or not x[r]:
+            groups.append((i, r, self.g.costs[i][r].values))
+        self._step(i, None, r, groups)
+        return r
+
+    def exchange(self, i: int) -> SwapStep | None:
+        """Player i's best improving exchange against the others' loads, or None."""
+        x = self.strategies[i]
+        return _best_exchange(x, self.top[i], self.nxt[i], self.tight(i, x))
+
+    def first_move(self, over: int) -> tuple[int, SwapStep] | tuple[None, None]:
+        """The first holder of ``over`` by index with an improving exchange, and it."""
+        for i, _, _ in self._holders(over):
+            if (swap := self.exchange(i)) is not None:
+                return i, swap
+        return None, None
+
+    def move(self, j: int, from_r: int, to_r: int) -> int:
+        """Move a unit of player j from ``from_r``, the old ``over``, to ``to_r``.
+
+        Only player j's two groups change value. Returns the unit's index.
+        """
+        costs = self.g.costs[j]
+        groups = [(j, r, costs[r].values) for r in dict.fromkeys((from_r, to_r))]
+        return self._step(j, from_r, to_r, groups)
+
+
 def _insertion_order(policy: SolverPolicy, demands: tuple[int, ...]) -> Iterator[int]:
     """The player who receives each demand unit, in insertion order."""
     if policy.player_selection == "min_index":
@@ -256,10 +404,8 @@ def compute_pne(
 
     The returned profile makes every player's strategy a best response. The
     trace records every insertion and every improvement move together with
-    the sorted marginal-cost vector after it. The solve's position (its
-    strategies, loads and unit homes) lives in one settle state, which keeps
-    each player's move prices and the marginal values up to date as units
-    are placed and moved; a ``Profile`` is built for the result and, under
+    the sorted marginal-cost vector after it. The solve's position lives in
+    one settle state; a ``Profile`` is built for the result and, under
     ``debug_assertions``, for each state's reference check.
     """
     policy = policy or SolverPolicy()

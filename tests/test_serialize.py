@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polynash import (
     GameInstance,
     InvariantError,
+    MalformedInputError,
     ParseError,
     Profile,
     RankFunction,
@@ -287,6 +288,18 @@ def test_profile_documents_for_the_empty_game():
     assert doc["players"] == [] and doc["loads"] == {}
 
 
+def test_the_profile_writer_refuses_a_profile_of_another_player_count():
+    # one player more used to be written as two, with its units in the loads;
+    # one player fewer raised IndexError
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = compute_pne(g)
+    for strategies in (profile.strategies + ((1, 0),), profile.strategies[:1]):
+        with pytest.raises(MalformedInputError) as err:
+            write_profile(g, Profile(strategies))
+        message = f"profile has {len(strategies)} players, instance has 2"
+        assert str(err.value) == message
+
+
 def test_parse_profile_rejects_infeasible_strategies():
     g = parse_instance(_doc())
     bad = json.dumps(
@@ -343,6 +356,28 @@ def test_trace_replay_rejects_a_tampered_decrease():
 def test_trace_requires_a_header():
     with pytest.raises(ParseError):
         check_trace('{"kind":"demand_increase","outer":1}\n')
+
+
+def test_the_trace_writer_refuses_events_that_do_not_fit_the_game():
+    # -1 used to be written as the last resource's name, 2 raised IndexError
+    # and an unknown kind was written for check_trace to reject
+    g = gen_random(0, 2, 2, 2)
+    move = TraceEvent(EVENT_IMPROVEMENT_MOVE, 2, 1, 0, 1, 1, 0, 0, (3, 2))
+    assert b'"from":"r1","to":"r0","overloaded":"r0"' in write_trace(g, Trace((move,)))
+    misfits = (
+        ("from_resource", -1),
+        ("to_resource", 2),
+        ("overloaded", 2),
+        ("kind", "bogus"),
+    )
+    for field, value in misfits:
+        bad = move._replace(**{field: value})
+        with pytest.raises(MalformedInputError) as err:
+            write_trace(g, Trace((move, bad)))
+        assert str(err.value) == (
+            f"trace event 1 holds {value!r}, which is no event kind or resource "
+            f"index of the game: {bad}"
+        )
 
 
 def test_single_player_trace_has_no_improvement_moves():
@@ -409,7 +444,7 @@ def test_writers_match_the_reference_encoders_on_solved_games(g, policy):
 
 @st.composite
 def free_events(draw, m):
-    """Events with any mix of None fields and kinds; some share the previous marginal tuple."""
+    """Events of every kind, with any mix of None fields; some share the previous marginal."""
     index = st.none() | st.integers(0, m - 1) if m else st.none()
     count = st.none() | st.integers(0, 10**20)
     events, marginal = [], ()
@@ -418,7 +453,7 @@ def free_events(draw, m):
             marginal = tuple(draw(st.lists(st.integers(-(10**20), 10**20), max_size=4)))
         events.append(
             TraceEvent(
-                draw(st.sampled_from(EVENT_KINDS) | NAME_TEXT),
+                draw(st.sampled_from(EVENT_KINDS)),
                 draw(st.integers(0, 10**6)),
                 draw(st.integers(0, 10**6)),
                 player=draw(count),

@@ -128,6 +128,23 @@ def test_marginal_vector_range_errors_keep_their_messages():
     )
 
 
+def test_marginal_vector_takes_one_strategy_of_m_counts_per_player():
+    g = _arrival_game()  # two players, two resources
+    assert marginal_vector(g, ((0, 1), (1, 0)), 1) == (3, 2)
+    wrong = [
+        # one count for two resources used to price only the first resource
+        (((1,), (0,)), "strategy counts must have length 2, got 1"),
+        (((1, 0, 0), (0, 1)), "strategy counts must have length 2, got 3"),
+        (((1, 0), (0, 1), (0, 0)), "3 strategies for 2 players"),
+        (((0.5, 0), (0, 1)), "strategy counts must be integers, got 0.5"),
+        (((-1, 0), (0, 1)), "strategy counts must be nonnegative"),
+    ]
+    for strategies, message in wrong:
+        with pytest.raises(MalformedInputError) as err:
+            marginal_vector(g, strategies)
+        assert str(err.value) == message
+
+
 def test_iteration_bound_examples():
     f1 = RankFunction((0, 1, 1, 1))
     g1 = GameInstance(
@@ -458,6 +475,49 @@ def test_every_other_always_on_move_invariant_names_itself(monkeypatch):
         assert str(err.value) == message
     profile, _ = compute_pne(_arrival_game())
     assert profile.strategies == ((0, 1), (1, 0))
+
+
+def test_a_unit_is_numbered_by_its_insertion_and_keeps_its_number():
+    # player 0 places unit 1 on b and unit 2 on c; each arrival of player 1
+    # moves player 0's unit 2, first off c, then off a, while unit 1 stays on b
+    f0 = RankFunction((0, 1, 2, 2, 2, 2, 2, 2))
+    f1 = RankFunction((0, 2, 2, 2, 1, 2, 2, 2))
+    costs0 = ((1, 3, 5, 8, 12), (1, 1, 2, 3, 5), (1, 2, 4, 6, 8))
+    costs1 = ((2, 3, 5, 8, 11), (3, 5, 8, 12, 17), (1, 1, 2, 4, 6))
+    g = GameInstance(("a", "b", "c"), (2, 2), (f0, f1), (costs0, costs1))
+    profile, trace = compute_pne(g)
+    steps = [
+        (e.kind, e.player, e.unit, e.from_resource, e.to_resource)
+        for e in trace.events
+        if e.kind in (EVENT_GREEDY_EXTEND, EVENT_IMPROVEMENT_MOVE)
+    ]
+    assert steps == [
+        (EVENT_GREEDY_EXTEND, 0, 1, None, 1),
+        (EVENT_GREEDY_EXTEND, 0, 2, None, 2),
+        (EVENT_GREEDY_EXTEND, 1, 1, None, 2),
+        (EVENT_IMPROVEMENT_MOVE, 0, 2, 2, 0),
+        (EVENT_GREEDY_EXTEND, 1, 2, None, 0),
+        (EVENT_IMPROVEMENT_MOVE, 0, 2, 0, 1),
+    ]
+    assert profile.strategies == ((0, 2, 0), (1, 0, 1))
+
+
+def test_a_move_names_the_first_placed_unit_on_the_resource_it_leaves():
+    labelled = 0
+    for seed in range(60):
+        g = gen_random(seed, 3, 2, 3)
+        _, trace = compute_pne(g, SolverPolicy("round_robin"))
+        homes = [[] for _ in range(g.n)]  # each player's units, by number
+        for e in trace.events:
+            if e.kind == EVENT_GREEDY_EXTEND:
+                homes[e.player].append(e.to_resource)
+                assert e.unit == len(homes[e.player])
+            elif e.kind == EVENT_IMPROVEMENT_MOVE:
+                units = homes[e.player]
+                assert e.unit == units.index(e.from_resource) + 1
+                labelled += e.unit > 1
+                units[e.unit - 1] = e.to_resource
+    assert labelled > 0
 
 
 def _reference_move(g, p, over):
