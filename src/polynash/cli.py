@@ -8,7 +8,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 from pathlib import Path
@@ -25,6 +24,7 @@ from .generators import (
 )
 from .oracle import verify_pne
 from .serialize import (
+    _load_json,
     parse_instance,
     parse_profile,
     write_instance,
@@ -250,9 +250,9 @@ def _cmd_gen(args) -> int:
         if args.matroids is None:
             raise _UsageError("kind matroid needs --matroids")
         try:
-            raw_specs = json.loads(args.matroids)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(f"--matroids is not valid JSON: {exc}") from None
+            raw_specs = _load_json(args.matroids)
+        except ParseError as exc:
+            raise _UsageError(f"--matroids: {exc}") from None
         if not isinstance(raw_specs, list) or not raw_specs:
             raise _UsageError("--matroids must be a non-empty JSON list")
         specs = [_matroid_spec(entry) for entry in raw_specs]

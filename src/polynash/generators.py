@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import GenerationError, InvariantError, MalformedInputError
 from .game import CostTable, GameInstance, find_ssc_violation
@@ -31,36 +31,36 @@ MAX_DEMAND = 8
 RETRY_BUDGET = 64
 
 
-class _UnionFind:
-    """Union by size with path compression; tracks successful merges."""
+def _block_counts(
+    blocks: Sequence[Sequence[int]], caps: Sequence[int]
+) -> Callable[[int], int]:
+    """The partition rank U -> sum over disjoint blocks B of min(|U & B|, cap_B)."""
+    masks = []
+    for b in blocks:
+        bits = 0
+        for r in b:
+            bits |= 1 << r
+        masks.append(bits)
+    pairs = tuple(zip(masks, caps))
+    return lambda mask: sum(min((mask & b).bit_count(), cap) for b, cap in pairs)
 
-    def __init__(self) -> None:
-        self.parent: dict = {}
-        self.size: dict = {}
-        self.merges = 0
 
-    def find(self, v):
-        if v not in self.parent:
-            self.parent[v] = v
-            self.size[v] = 1
-            return v
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
+def _forest_size(edges: Iterable[tuple[int, int]]) -> int:
+    """Edges in a spanning forest of a multigraph: union-find with path halving."""
+    parent: dict = {}
 
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.merges += 1
-        return True
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    size = 0
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            size += 1
+    return size
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class MatroidSpec:
     def rank_table(self, m: int) -> RankFunction:
         f = RankFunction(tuple(map(self._rank_of(m), range(1 << m))))
         for mask in range(1 << m):
-            if f.values[mask] > bin(mask).count("1"):
+            if f.values[mask] > mask.bit_count():
                 raise InvariantError(
                     f"matroid rank table is not subcardinal at mask {mask}"
                 )
@@ -132,30 +132,21 @@ class MatroidSpec:
                 f"matroid resource count must be in [0, {MAX_TABLE_RESOURCES}], got {m}"
             )
         if self.kind == "uniform":
-            return lambda mask: min(bin(mask).count("1"), self.rank)
+            return lambda mask: min(mask.bit_count(), self.rank)
         if self.kind == "partition":
             for b in self.blocks:
                 for r in b:
                     if not 0 <= r < m:
                         raise MalformedInputError(f"block resource {r} out of range")
-            return lambda mask: sum(
-                min(sum(1 for r in b if mask >> r & 1), cap)
-                for b, cap in zip(self.blocks, self.caps)
-            )
+            return _block_counts(self.blocks, self.caps)
         if self.kind == "graphic":
             if len(self.edges) != m:
                 raise MalformedInputError(
                     f"graphic matroid has {len(self.edges)} edges, expected {m}"
                 )
-
-            def forest_size(mask: int) -> int:
-                uf = _UnionFind()
-                for r in range(m):
-                    if mask >> r & 1:
-                        uf.union(*self.edges[r])
-                return uf.merges
-
-            return forest_size
+            return lambda mask: _forest_size(
+                e for r, e in enumerate(self.edges) if mask >> r & 1
+            )
         raise MalformedInputError(f"unknown matroid kind {self.kind!r}")
 
 
@@ -265,15 +256,13 @@ def random_rank(rng: random.Random, m: int, max_chain: int = 3) -> RankFunction:
         idx += size
     caps = [rng.randint(1, max_chain) for _ in blocks]
     ceiling = rng.randint(1, concave[m] + sum(caps))
-    values = []
-    for mask in range(1 << m):
-        k = bin(mask).count("1")
-        blocked = sum(
-            min(sum(1 for r in b if mask >> r & 1), cap)
-            for b, cap in zip(blocks, caps)
+    blocked = _block_counts(blocks, caps)
+    f = RankFunction(
+        tuple(
+            min(concave[mask.bit_count()] + blocked(mask), ceiling)
+            for mask in range(1 << m)
         )
-        values.append(min(concave[k] + blocked, ceiling))
-    f = RankFunction(tuple(values))
+    )
     nudged_valid = False  # an accepted nudge has just validated f
     for _ in range(rng.randint(0, 3)):
         mask = rng.randrange(1, 1 << m)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product
+from operator import le
 from typing import Sequence
 
 from .errors import EnumerationTooLargeError, MalformedInputError
@@ -46,16 +47,12 @@ def _cap(default: int) -> int:
 
 
 def _within_capacities(rank_values: tuple[int, ...], x: Sequence[int]) -> bool:
-    # standalone re-check of every subset constraint, independent of rank.py
-    m = (len(rank_values) - 1).bit_length()
-    for mask in range(1, len(rank_values)):
-        total = 0
-        for r in range(m):
-            if mask >> r & 1:
-                total += x[r]
-        if total > rank_values[mask]:
-            return False
-    return True
+    # standalone re-check of every subset constraint, independent of rank.py:
+    # sums[mask] is x's total over mask, each resource doubling the list
+    sums = [0]
+    for v in x:
+        sums += [s + v for s in sums]
+    return all(map(le, sums, rank_values))
 
 
 def enumerate_strategies(g: GameInstance, i: int) -> list[tuple[int, ...]]:

@@ -303,9 +303,13 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
         "players": g.n,
     }
     lines = [json.dumps(header, separators=(",", ":"))]
-    # the encoded fragment of each event kind, and of each resource field's
-    # value (None as null); a value the game does not have is refused
+    # the encoded fragment of each event kind, and of each player, unit and
+    # resource field's value (None as null); a value the game does not have
+    # is refused. Units run 1..max(demands), no longer than one cost table.
     kinds = {kind: _encode(kind) for kind in _EVENT_KINDS}
+    players = {None: "null", **{i: str(i) for i in range(g.n)}}
+    top = max(g.demands, default=0)
+    units = {None: "null", **{k: str(k) for k in range(1, top + 1)}}
     names = {None: "null", **dict(enumerate(map(_encode, g.resources)))}
     marginal, joined = (), ""
     try:
@@ -318,16 +322,15 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
                 joined = ",".join(map(str, marginal))
             lines.append(
                 f'{{"kind":{kinds[kind]},"outer":{outer},"inner":{inner},'
-                f'"player":{"null" if player is None else player},'
-                f'"unit":{"null" if unit is None else unit},'
+                f'"player":{players[player]},"unit":{units[unit]},'
                 f'"from":{names[source]},"to":{names[target]},'
                 f'"overloaded":{names[over]},"marginal":[{joined}]}}'
             )
     except KeyError as exc:
         k = len(lines) - 1  # the header, then one line per event written
         raise MalformedInputError(
-            f"trace event {k} holds {exc.args[0]!r}, which is no event kind or "
-            f"resource index of the game: {trace.events[k]}"
+            f"trace event {k} holds {exc.args[0]!r}, which is no event kind, "
+            f"player, unit or resource index of the game: {trace.events[k]}"
         ) from None
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -67,6 +68,55 @@ def feasible_vectors(values, d) -> list[tuple[int, ...]]:
         if ok:
             out.append(tuple(x))
     return out
+
+
+def uniform_rank_reference(rank: int, m: int) -> tuple[int, ...]:
+    """min(|U|, rank) for every subset U, counting members bit by bit."""
+    return tuple(
+        min(sum(mask >> r & 1 for r in range(m)), rank) for mask in range(1 << m)
+    )
+
+
+def partition_rank_reference(blocks, caps, m: int) -> tuple[int, ...]:
+    """Sum over blocks of min(members of U in the block, cap), bit by bit."""
+    return tuple(
+        sum(
+            min(sum(1 for r in b if mask >> r & 1), cap)
+            for b, cap in zip(blocks, caps)
+        )
+        for mask in range(1 << m)
+    )
+
+
+def graphic_rank_reference(edges) -> tuple[int, ...]:
+    """Forest size of every edge subset: vertices touched minus connected components.
+
+    Components are counted by breadth-first search; a self-loop touches its
+    vertex and adds nothing.
+    """
+    m = len(edges)
+    out = []
+    for mask in range(1 << m):
+        neighbours: dict = {}
+        for r in range(m):
+            if mask >> r & 1:
+                a, b = edges[r]
+                neighbours.setdefault(a, set()).add(b)
+                neighbours.setdefault(b, set()).add(a)
+        seen: set = set()
+        components = 0
+        for start in neighbours:
+            if start in seen:
+                continue
+            components += 1
+            seen.add(start)
+            queue = deque([start])
+            while queue:
+                for w in neighbours[queue.popleft()] - seen:
+                    seen.add(w)
+                    queue.append(w)
+        out.append(len(neighbours) - components)
+    return tuple(out)
 
 
 def ideal_weight(weights, counts) -> int:

@@ -146,6 +146,20 @@ def test_usage_errors_exit_one(tmp_path):
         ],
         ["--kind", "matroid", "--resources", "2", "--matroids", "[3]"],
         ["--kind", "matroid", "--resources", "2", "--matroids", '[{"kind":"laminar"}]'],
+        # a rank past the interpreter's digit limit, nesting past the recursion
+        # limit, and a repeated key are malformed JSON too
+        [
+            *("--kind", "matroid", "--resources", "2", "--matroids"),
+            '[{"kind":"uniform","rank":' + "7" * 5001 + "}]",
+        ],
+        [
+            *("--kind", "matroid", "--resources", "2", "--matroids"),
+            "[" * 5000 + "]" * 5000,
+        ],
+        [
+            *("--kind", "matroid", "--resources", "2", "--matroids"),
+            '[{"kind":"graphic","kind":"uniform","rank":1}]',
+        ],
     ],
 )
 def test_gen_rejects_malformed_fields_as_usage_errors(tmp_path, capsys, kind_args):

@@ -26,6 +26,12 @@ from polynash.generators import (
     random_rank,
 )
 
+from helpers import (
+    graphic_rank_reference,
+    partition_rank_reference,
+    uniform_rank_reference,
+)
+
 
 def _convex_costs(rng, players, m, total):
     return [
@@ -112,6 +118,33 @@ def test_partition_matroid_with_unit_caps_is_free():
 def test_partition_blocks_must_be_disjoint():
     with pytest.raises(MalformedInputError):
         MatroidSpec.partition([[0, 1], [1]], [1, 1])
+
+
+def test_matroid_tables_match_per_mask_references():
+    # random multigraphs carry self-loops and parallel edges; partitions
+    # leave some resources outside every block
+    rng = random.Random(11)
+    for _ in range(150):
+        m = rng.randint(0, 8)
+        rank = rng.randint(0, m + 1)
+        assert MatroidSpec.uniform(rank).rank_table(m).values == uniform_rank_reference(
+            rank, m
+        )
+        order = rng.sample(range(m), rng.randint(0, m))
+        blocks = []
+        while order:
+            size = rng.randint(1, len(order))
+            blocks.append(order[:size])
+            order = order[size:]
+        caps = [rng.randint(0, 3) for _ in blocks]
+        table = MatroidSpec.partition(blocks, caps).rank_table(m).values
+        assert table == partition_rank_reference(blocks, caps, m)
+        vertices = rng.randint(1, 5)
+        edges = [
+            (rng.randrange(vertices), rng.randrange(vertices)) for _ in range(m)
+        ]
+        table = MatroidSpec.graphic(edges).rank_table(m).values
+        assert table == graphic_rank_reference(edges)
 
 
 def test_matroid_chains_have_unit_capacity_and_take_nondecreasing_costs():

@@ -19,9 +19,9 @@ from polynash import (
     private_cost,
     verify_pne,
 )
-from polynash.generators import gen_random
+from polynash.generators import gen_random, random_rank
 
-from helpers import shared_pool_instance
+from helpers import SCALE_SHIFTS, feasible_vectors, fitting_shift, shared_pool_instance
 
 
 def test_single_player_oracle_matches_the_greedy_optimum():
@@ -119,3 +119,32 @@ def test_oracle_and_greedy_agree_against_random_opponents():
             w = induced_weights(g, i, a)
             greedy = ordered_greedy(g.ranks[i], g.demands[i], w)
             assert w.ideal_weight(greedy) == cost
+
+
+def _one_player(values, d):
+    f = RankFunction(values)
+    prices = tuple(range(d + 1))
+    names = tuple(f"r{k}" for k in range(f.m))
+    return GameInstance(names, (d,), (f,), ((prices,) * f.m,))
+
+
+def test_strategies_match_a_product_scan_on_random_ranks():
+    # most candidates the walk reaches break some subset capacity
+    rng = random.Random(5)
+    for _ in range(80):
+        f = random_rank(rng, rng.randint(1, 5), max_chain=rng.randint(1, 2))
+        for d in {0, rng.randint(1, f.rank_of_all), f.rank_of_all}:
+            expected = feasible_vectors(f.values, d)
+            assert enumerate_strategies(_one_player(f.values, d), 0) == expected
+
+
+def test_strategies_match_a_product_scan_on_tables_scaled_across_field_widths():
+    # at demand d, min(f(U), d) has exactly the feasible vectors of f
+    rng = random.Random(6)
+    for _ in range(40):
+        f = random_rank(rng, rng.randint(1, 5))
+        for s in SCALE_SHIFTS:
+            scaled = tuple(v << fitting_shift(f.values, s) for v in f.values)
+            d = rng.randint(0, min(scaled[-1], 6))
+            expected = feasible_vectors(tuple(min(v, d) for v in scaled), d)
+            assert enumerate_strategies(_one_player(scaled, d), 0) == expected

@@ -359,24 +359,31 @@ def test_trace_requires_a_header():
 
 
 def test_the_trace_writer_refuses_events_that_do_not_fit_the_game():
-    # -1 used to be written as the last resource's name, 2 raised IndexError
-    # and an unknown kind was written for check_trace to reject
+    # -1 used to be written as the last resource's name, 2 raised IndexError,
+    # an unknown kind was written for check_trace to reject, and so were
+    # player 5 and units -3 and 0 (units run 1..max(demands) = 1..2)
     g = gen_random(0, 2, 2, 2)
     move = TraceEvent(EVENT_IMPROVEMENT_MOVE, 2, 1, 0, 1, 1, 0, 0, (3, 2))
     assert b'"from":"r1","to":"r0","overloaded":"r0"' in write_trace(g, Trace((move,)))
+    assert max(g.demands) == 2
     misfits = (
         ("from_resource", -1),
         ("to_resource", 2),
         ("overloaded", 2),
         ("kind", "bogus"),
+        ("player", 5),
+        ("player", -1),
+        ("unit", -3),
+        ("unit", 0),
+        ("unit", 3),
     )
     for field, value in misfits:
         bad = move._replace(**{field: value})
         with pytest.raises(MalformedInputError) as err:
             write_trace(g, Trace((move, bad)))
         assert str(err.value) == (
-            f"trace event 1 holds {value!r}, which is no event kind or resource "
-            f"index of the game: {bad}"
+            f"trace event 1 holds {value!r}, which is no event kind, player, unit "
+            f"or resource index of the game: {bad}"
         )
 
 
@@ -443,10 +450,16 @@ def test_writers_match_the_reference_encoders_on_solved_games(g, policy):
 
 
 @st.composite
-def free_events(draw, m):
-    """Events of every kind, with any mix of None fields; some share the previous marginal."""
-    index = st.none() | st.integers(0, m - 1) if m else st.none()
-    count = st.none() | st.integers(0, 10**20)
+def free_events(draw, g):
+    """Events of every kind that fit g, with any mix of None fields.
+
+    Players, units and resource fields hold values g has; some events share
+    the previous marginal.
+    """
+    index = st.none() | st.integers(0, g.m - 1) if g.m else st.none()
+    player = st.none() | st.integers(0, g.n - 1) if g.n else st.none()
+    top = max(g.demands, default=0)
+    unit = st.none() | st.integers(1, top) if top else st.none()
     events, marginal = [], ()
     for _ in range(draw(st.integers(0, 6))):
         if draw(st.booleans()):
@@ -456,8 +469,8 @@ def free_events(draw, m):
                 draw(st.sampled_from(EVENT_KINDS)),
                 draw(st.integers(0, 10**6)),
                 draw(st.integers(0, 10**6)),
-                player=draw(count),
-                unit=draw(count),
+                player=draw(player),
+                unit=draw(unit),
                 from_resource=draw(index),
                 to_resource=draw(index),
                 overloaded=draw(index),
@@ -471,5 +484,5 @@ def free_events(draw, m):
 @given(st.data())
 def test_trace_writer_matches_the_reference_encoder_on_any_events(data):
     g = data.draw(named_games())
-    trace = data.draw(free_events(g.m))
+    trace = data.draw(free_events(g))
     assert write_trace(g, trace) == reference_write_trace(g, trace)
