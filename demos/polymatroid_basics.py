@@ -4,8 +4,8 @@ A rank table assigns an integer capacity to every subset of resources. When
 it is normalized, monotone, and submodular, the count vectors respecting all
 subset capacities form the feasible splits of a demand. A subset is tight
 for a vector when the vector fills its capacity exactly; one pass over the
-subsets finds them all, and they say which unit steps stay feasible. This
-script walks through all of it on a two-resource table.
+subsets finds their union sat(x), and it says which unit steps stay
+feasible. This script walks through all of it on a two-resource table.
 """
 
 from polynash import (
@@ -29,16 +29,18 @@ def subset(mask: int) -> str:
     return "{" + ",".join(name for r, name in enumerate("ab") if mask >> r & 1) + "}"
 
 
-print("\nmembership and tight sets, one pass over the subsets each:")
+print("\nmembership and sat(x), one pass over the subsets each:")
 for vector in ((1, 0), (1, 1), (2, 0), (0, 2)):
     tight = tight_sets(f, vector)
     print(f"  {vector}: feasible={tight.feasible}", end="")
     if tight.feasible:
         # sat(x), the union of the tight sets: no resource in it takes one
-        # more unit. dep(x, s), the smallest tight set holding s: a unit
-        # moves onto a saturated s only from inside it
-        deps = (f"dep({s})={subset(tight.dependent(r))}" for r, s in enumerate("ab"))
-        print(f" sat={subset(tight.saturated)}", *deps, end="")
+        # more unit. A unit leaving r moves onto any s outside sat(x - e_r)
+        print(f" sat={subset(tight.saturated)}", end="")
+        for r, name in enumerate("ab"):
+            if vector[r]:
+                less = vector[:r] + (vector[r] - 1,) + vector[r + 1 :]
+                print(f" sat(x-e_{name})={subset(tight_sets(f, less).saturated)}", end="")
     print()
 print("  (2,0) an exact split of 2 units?", member_base(f, 2, (2, 0)))
 

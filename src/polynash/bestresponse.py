@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
-from .game import GameInstance, Profile, WeightedGround, induced_weights
+from .game import GameInstance, Profile, WeightedGround, _check_fit, induced_weights
 from .rank import (
     RankFunction,
     TightSets,
@@ -65,14 +65,12 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
 
     Candidates are the next free position of each chain. One
     :func:`~polynash.rank.tight_sets` pass decides them all: the position
-    above r is feasible iff r lies outside every tight set. A count vector
+    above r is feasible iff r lies outside sat(counts). A count vector
     already outside the polytope has no feasible addition.
     """
     counts = _checked_vector(counts, f.m)
     tight = tight_sets(f, counts)
-    if not tight.feasible:
-        return []
-    return [(r, c + 1) for r, c in enumerate(counts) if tight.can_add(r)]
+    return [(r, c + 1) for r, c in enumerate(counts) if tight.feasible and tight.can_add(r)]
 
 
 def _extend_once(
@@ -97,7 +95,7 @@ def _cheapest_addition(nxt: Sequence[int | None], tight: TightSets) -> int:
     """Resource of the cheapest feasible next chain position, lowest index on ties.
 
     ``nxt[r]`` prices the next free position on r (None when the chain is
-    full); ``tight`` holds the tight sets of a vector inside the polytope.
+    full); ``tight`` holds sat(x) of a vector x inside the polytope.
     Raises InfeasibleTruncationError when no chain can take a unit.
     """
     best: tuple[int, int] | None = None  # (weight, resource)
@@ -151,18 +149,17 @@ def local_improvement(
     minimum-weight at its size always admits an improving exchange. Among
     improving exchanges the one with the largest saving wins; ties go to the
     lowest removal resource index, then the lowest addition resource index.
-    One :func:`~polynash.rank.tight_sets` pass decides every exchange: a unit
-    can move from r to s iff s is unsaturated or r lies in the smallest
-    tight set containing s.
+    A unit can move from r to s iff s lies outside sat(x - e_r), which lies
+    within sat(x); see :class:`~polynash.rank.TightSets`.
     """
     counts = _checked_vector(counts, f.m)
     tight = _tight_inside(f, counts)
     _require_coverage(f, w, sum(counts))
-    return _best_exchange(counts, *_row_prices(w.weights, counts), tight)
+    return _best_exchange(f, counts, *_row_prices(w.weights, counts), tight)
 
 
 def _tight_inside(f: RankFunction, x: tuple[int, ...]) -> TightSets:
-    """Tight sets of x, which must lie in the polytope of f (ContractError otherwise)."""
+    """sat(x) of x, which must lie in the polytope of f (ContractError otherwise)."""
     tight = tight_sets(f, x)
     if not tight.feasible:
         raise ContractError(f"count vector {x} lies outside the polytope")
@@ -170,6 +167,7 @@ def _tight_inside(f: RankFunction, x: tuple[int, ...]) -> TightSets:
 
 
 def _best_exchange(
+    f: RankFunction,
     counts: tuple[int, ...],
     top: Sequence[int | None],
     nxt: Sequence[int | None],
@@ -179,21 +177,24 @@ def _best_exchange(
 
     ``top[r]`` prices the highest position ``counts`` holds on r (None when
     it holds none), ``nxt[r]`` the next free one (None when the chain is
-    full). ``tight`` holds the tight sets of ``counts``, inside the polytope.
+    full). ``tight`` holds sat(x) of x = ``counts`` inside the polytope of f;
+    an exchange onto s in sat(x) is decided by sat(x - e_r), built once per r.
     """
     gain, best = 0, None  # the largest saving so far, and its (r, s)
     for r, w_out in enumerate(top):
         if w_out is None:
             continue
+        less = None  # the pass on x - e_r, once an exchange needs it
         for s, w_s in enumerate(nxt):
-            # an exchange that does not beat the best saving needs no tight-set test
-            if (
-                w_s is not None
-                and w_out - w_s > gain
-                and s != r
-                and tight.can_exchange(r, s)
-            ):
-                gain, best = w_out - w_s, (r, s)
+            # an exchange that does not beat the best saving needs no capacity test
+            if w_s is None or w_out - w_s <= gain or s == r:
+                continue
+            if not tight.can_add(s):
+                if less is None:
+                    less = tight_sets(f, counts[:r] + (counts[r] - 1,) + counts[r + 1 :])
+                if not less.can_add(s):
+                    continue
+            gain, best = w_out - w_s, (r, s)
     if best is None:
         return None
     r, s = best
@@ -279,6 +280,7 @@ def is_best_response(g: GameInstance, p: Profile, i: int) -> bool:
     otherwise); it is then optimal exactly when no single exchange improves
     it (see :func:`local_improvement`).
     """
+    _check_fit(g, p, i)
     x = p.strategies[i]
     if sum(x) == 0:
         return True

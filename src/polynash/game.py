@@ -362,10 +362,17 @@ class GameInstance:
                 )
 
 
+def _check_fit(g: GameInstance, p: Profile | None = None, i: int | None = None) -> None:
+    """Raise unless ``p`` holds one strategy per player of ``g`` and ``i`` is a player."""
+    if p is not None and (k := len(p.strategies)) != g.n:
+        raise MalformedInputError(f"profile has {k} players, instance has {g.n}")
+    if i is not None and not 0 <= i < g.n:
+        raise MalformedInputError(f"player index {i} out of range")
+
+
 def private_cost(g: GameInstance, p: Profile, i: int) -> int:
     """Exact bill of player i: sum over resources of price-at-load times own units."""
-    if not 0 <= i < g.n:
-        raise MalformedInputError(f"player index {i} out of range")
+    _check_fit(g, p, i)
     loads = p.loads(g.m)
     strategy = p.strategies[i]
     return sum(
@@ -387,8 +394,7 @@ def induced_weights(g: GameInstance, i: int, a: Sequence[int]) -> WeightedGround
     too short and AdmissibilityError when a row decreases (a table that is not
     load-sensitive); neither happens on a validated instance.
     """
-    if not 0 <= i < g.n:
-        raise MalformedInputError(f"player index {i} out of range")
+    _check_fit(g, i=i)
     loads = _checked_vector(a, g.m, "opponent loads")
     rows = []
     for r, load in enumerate(loads):

@@ -60,6 +60,8 @@ def enumerate_strategies(g: GameInstance, i: int) -> list[tuple[int, ...]]:
 
     Raises EnumerationTooLargeError past ``STRATEGY_CAP`` or POLYNASH_MAX_ENUM.
     """
+    if not 0 <= i < g.n:
+        raise MalformedInputError(f"player index {i} out of range")
     d = g.demands[i]
     limit = _cap(STRATEGY_CAP)
     values = g.ranks[i].values
@@ -85,6 +87,11 @@ def enumerate_strategies(g: GameInstance, i: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_profile(g: GameInstance, p: Profile) -> None:
+    if (k := len(p.strategies)) != g.n:
+        raise MalformedInputError(f"profile has {k} players, instance has {g.n}")
+
+
 def _cost_against(
     g: GameInstance, i: int, other_loads: Sequence[int], x: Sequence[int]
 ) -> int:
@@ -101,17 +108,15 @@ def brute_force_best_response(
     Ties resolve to the lexicographically smallest strategy. Returns the
     strategy together with its exact cost.
     """
+    _check_profile(g, p)
+    options = enumerate_strategies(g, i)  # checks i
+    if not options:
+        raise MalformedInputError(f"player {i} has no feasible strategy")
     loads = p.loads(g.m)
     others = tuple(loads[r] - p.strategies[i][r] for r in range(g.m))
-    best: tuple[int, ...] | None = None
-    best_cost: int | None = None
-    for y in enumerate_strategies(g, i):
-        cost = _cost_against(g, i, others, y)
-        if best_cost is None or cost < best_cost:
-            best, best_cost = y, cost
-    if best is None:
-        raise MalformedInputError(f"player {i} has no feasible strategy")
-    return best, best_cost
+    # min keeps the first of equal costs, and the options ascend
+    best = min(options, key=lambda y: _cost_against(g, i, others, y))
+    return best, _cost_against(g, i, others, best)
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,7 @@ class VerificationReport:
 
 def verify_pne(g: GameInstance, p: Profile) -> VerificationReport:
     """Compare every player's bill against their exhaustive optimum."""
+    _check_profile(g, p)
     loads = p.loads(g.m)
     violations = []
     for i in range(g.n):

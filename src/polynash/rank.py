@@ -13,7 +13,6 @@ import sys
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InfeasibleTruncationError, MalformedInputError
@@ -182,58 +181,40 @@ def _checked_vector(x: Iterable, m: int, what: str = "count vectors") -> tuple[i
 
 
 class TightSets(NamedTuple):
-    """The tight subsets {U : x(U) = f(U)} of a count vector x, from tight_sets.
+    """Whether a count vector x lies in a polytope, and sat(x), from tight_sets.
 
-    For a submodular f, such as a polymatroid, and x inside its polytope the
-    tight sets are closed under union and intersection, and a subset's mask
-    is never above its superset's, so two reads of ``tight`` answer every
-    unit step from x:
-
-    - ``saturated``, the last tight set, is their union sat(x) (0 if there
-      is none); x + e_r stays inside exactly when r is outside it;
-    - ``dependent(s)``, the first tight set containing s, is their
-      intersection dep(x, s); for x_r >= 1, x - e_r + e_s stays inside
-      exactly when s is outside sat(x) or r lies in dep(x, s).
-
-    When ``feasible`` is False, x violates some capacity, ``tight`` is empty
-    and the unit-step answers are meaningless. Like every record the solve
-    builds in bulk, this is a named tuple: cheap to build, immutable, and
-    equal to the plain tuple of its fields.
+    For a submodular f and x inside its polytope the tight sets
+    {U : x(U) = f(U)} are closed under union; ``saturated`` is that union
+    sat(x), 0 if there is none or if ``feasible`` is False. One more unit
+    fits on r iff r is outside sat(x), so for x_r >= 1 a unit moves from r
+    to s iff s is outside sat(x - e_r). A named tuple, cheap to build.
     """
 
     feasible: bool
     saturated: int
-    tight: tuple[int, ...]  # every tight subset, ascending
-
-    def dependent(self, s: int) -> int:
-        """dep(x, s), the smallest tight set containing s; 0 when s is unsaturated."""
-        return next(filter((1 << s).__and__, self.tight), 0)
 
     def can_add(self, r: int) -> bool:
         """Whether one more unit on resource r keeps x inside the polytope."""
         return not self.saturated >> r & 1
 
-    def can_exchange(self, r: int, s: int) -> bool:
-        """Whether moving one of x's units from r to s keeps x inside the polytope."""
-        return self.can_add(s) or bool(self.dependent(s) >> r & 1)
-
 
 def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
-    """Membership of x in the polytope of f together with its tight subsets.
+    """Membership of x in the polytope of f together with sat(x).
 
     One pass over the 2**m subsets, on ``f.packed``: x(U) for every U comes
     from a doubling DP of m shifts and adds (the sums over subsets of the
     first j + 1 resources are those of the first j resources, then the same
     plus x_j). One subtraction from f with the guard bits set compares every
     x(U) with f(U): x is inside iff no guard bit clears, and the tight sets
-    are the fields where f(U) - x(U) is zero, ascending. A vector whose total
-    exceeds f(R) is outside at once; otherwise every x(U) fits below the
-    guard bit. Answers the same membership question as :func:`member_polytope`
-    (the subset-by-subset reference); unit-step answers need f submodular.
+    are the fields where f(U) - x(U) is zero; for a submodular f the highest
+    of them is their union. A vector whose total exceeds f(R) is outside at
+    once; otherwise every x(U) fits below the guard bit. Answers the same
+    membership question as :func:`member_polytope` (the subset-by-subset
+    reference); unit-step answers need f submodular.
     """
     vec = _checked_vector(x, f.m)
     if sum(vec) > f.rank_of_all:
-        return TightSets(False, 0, ())
+        return TightSets(False, 0)
     w = f.width
     sums, ones, shift = 0, 1, w
     for v in vec:
@@ -244,14 +225,11 @@ def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
     # field U holds 2^(w-1) + f(U) - x(U) > 0, so no field borrows from the next
     slack = (f.packed | guards) - sums
     if slack & guards != guards:
-        return TightSets(False, 0, ())
-    # one less clears the guard exactly where f(U) = x(U); the top byte of
-    # each field is then nonzero on the tight fields only
+        return TightSets(False, 0)
+    # one less clears the guard exactly where f(U) = x(U); sat(x) is the
+    # highest such field, whose index reads -1 if there is none (f(0) > 0)
     flags = ((slack - ones) & guards) ^ guards
-    step = w >> 3
-    tops = flags.to_bytes(step << f.m, "little")[step - 1 :: step]
-    tight = tuple(compress(range(1 << f.m), tops))
-    return TightSets(True, tight[-1] if tight else 0, tight)
+    return TightSets(True, max(0, (flags.bit_length() - 1) // w))
 
 
 def member_polytope(f: RankFunction, x: Sequence[int]) -> bool:

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import Sequence
 
 from .errors import InvariantError, MalformedInputError, ParseError
-from .game import CostTable, GameInstance, Profile, private_cost
+from .game import CostTable, GameInstance, Profile, _check_fit, private_cost
 from .rank import MAX_RESOURCES, RankFunction
 from .solver import (
     EVENT_DEMAND_INCREASE,
@@ -235,10 +235,7 @@ def write_profile(g: GameInstance, p: Profile) -> bytes:
 
     The profile must hold one strategy per player of ``g``.
     """
-    if len(p.strategies) != g.n:
-        raise MalformedInputError(
-            f"profile has {len(p.strategies)} players, instance has {g.n}"
-        )
+    _check_fit(g, p)
     loads = p.loads(g.m)
     keys = [f"{_encode(name)}: " for name in g.resources]
 
@@ -303,21 +300,33 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
         "players": g.n,
     }
     lines = [json.dumps(header, separators=(",", ":"))]
-    # the encoded fragment of each event kind, and of each player, unit and
-    # resource field's value (None as null); a value the game does not have
-    # is refused. Units run 1..max(demands), no longer than one cost table.
+    # the encoded fragment of each event kind, player, unit (1..max(demands))
+    # and resource (None as null), refusing a value the game does not have;
+    # outer, inner and the marginal entries are written as is, so ints only
     kinds = {kind: _encode(kind) for kind in _EVENT_KINDS}
     players = {None: "null", **{i: str(i) for i in range(g.n)}}
     top = max(g.demands, default=0)
     units = {None: "null", **{k: str(k) for k in range(1, top + 1)}}
     names = {None: "null", **dict(enumerate(map(_encode, g.resources)))}
-    marginal, joined = (), ""
+    marginal, joined, ints = (), "", {int}
+
+    def refused(value: object, what: str) -> MalformedInputError:
+        k = len(lines) - 1  # the header, then one line per event written
+        return MalformedInputError(
+            f"trace event {k} holds {value!r}, which is {what}: {trace.events[k]}"
+        )
+
     try:
         # each event is a named tuple, unpacked in field order
         for kind, outer, inner, player, unit, source, target, over, marginal_sorted in (
             trace.events
         ):
+            if type(outer) is not int or type(inner) is not int:
+                raise refused(inner if type(outer) is int else outer, "not an int")
             if marginal_sorted is not marginal:
+                if not set(map(type, marginal_sorted)) <= ints:
+                    value = next(v for v in marginal_sorted if type(v) is not int)
+                    raise refused(value, "not an int")
                 marginal = marginal_sorted
                 joined = ",".join(map(str, marginal))
             lines.append(
@@ -327,11 +336,8 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
                 f'"overloaded":{names[over]},"marginal":[{joined}]}}'
             )
     except KeyError as exc:
-        k = len(lines) - 1  # the header, then one line per event written
-        raise MalformedInputError(
-            f"trace event {k} holds {exc.args[0]!r}, which is no event kind, "
-            f"player, unit or resource index of the game: {trace.events[k]}"
-        ) from None
+        what = "no event kind, player, unit or resource index of the game"
+        raise refused(exc.args[0], what) from None
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

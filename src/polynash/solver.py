@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .bestresponse import SwapStep, _best_exchange, _cheapest_addition, _tight_inside
 from .bestresponse import is_best_response, repair_best_response
 from .errors import CostTableRangeError, InvariantError, MalformedInputError
-from .game import GameInstance, Profile, induced_weights
+from .game import GameInstance, Profile, _check_fit, induced_weights
 from .rank import TightSets, _checked_vector, _integers
 
 __all__ = [
@@ -175,6 +175,7 @@ def improving_players(
     lemma then says only players keeping a unit there can have become
     improvable, and an improvable player without one raises InvariantError.
     """
+    _check_fit(g, p)
     if overloaded is not None and not 0 <= overloaded < g.m:
         raise MalformedInputError(f"resource index {overloaded} out of range")
     out = []
@@ -252,7 +253,7 @@ class _SettleState:
       there is no such position);
     - the marginal values of the placed units (see :func:`marginal_vector`)
       as one ascending list, which each step changes only in its groups;
-    - each player's tight sets at its current strategy, built with the
+    - each player's sat(x) at its current strategy x, built with the
       polytope check by the first lookup after a step changed it.
     """
 
@@ -335,7 +336,7 @@ class _SettleState:
         return tuple(reversed(self._marginals))
 
     def tight(self, i: int, x: tuple[int, ...]) -> TightSets:
-        """Tight sets of player i's current strategy x, inside its polytope."""
+        """sat(x) of player i's current strategy x, inside its polytope."""
         tight = self._tight[i]
         if tight is None:
             tight = self._tight[i] = _tight_inside(self.g.ranks[i], x)
@@ -354,8 +355,8 @@ class _SettleState:
 
     def exchange(self, i: int) -> SwapStep | None:
         """Player i's best improving exchange against the others' loads, or None."""
-        x = self.strategies[i]
-        return _best_exchange(x, self.top[i], self.nxt[i], self.tight(i, x))
+        x, f = self.strategies[i], self.g.ranks[i]
+        return _best_exchange(f, x, self.top[i], self.nxt[i], self.tight(i, x))
 
     def first_move(self, over: int) -> tuple[int, SwapStep] | tuple[None, None]:
         """The first holder of ``over`` by index with an improving exchange, and it."""

@@ -302,3 +302,14 @@ def test_the_no_feasible_addition_message():
     with pytest.raises(InfeasibleTruncationError) as err:
         settle.insert(0)
     assert str(err.value) == message
+
+
+def test_is_best_response_refuses_a_player_or_profile_the_game_does_not_have():
+    # player 5 and a one-strategy profile used to raise IndexError
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = solver.compute_pne(g)
+    for i in (5, 2, -1):
+        with pytest.raises(MalformedInputError, match=f"^player index {i} out of range$"):
+            is_best_response(g, profile, i)
+    with pytest.raises(MalformedInputError, match="^profile has 1 players, instance has 2$"):
+        is_best_response(g, Profile(profile.strategies[:1]), 0)

@@ -448,3 +448,13 @@ def test_admissibility_for_every_validated_instance():
                 for _ in range(rng.randint(0, slack)):
                     a[rng.randrange(g.m)] += 1
                 induced_weights(g, i, a)  # would raise AdmissibilityError
+
+
+def test_private_cost_refuses_a_player_or_profile_the_game_does_not_have():
+    # a one-strategy profile used to raise IndexError for player 1
+    g = gen_random(0, 2, 2, 2)
+    profile = Profile(((1, 0), (0, 1)))
+    with pytest.raises(MalformedInputError, match="^profile has 1 players, instance has 2$"):
+        private_cost(g, Profile(profile.strategies[:1]), 1)
+    with pytest.raises(MalformedInputError, match="^player index 2 out of range$"):
+        private_cost(g, profile, 2)

@@ -148,3 +148,25 @@ def test_strategies_match_a_product_scan_on_tables_scaled_across_field_widths():
             d = rng.randint(0, min(scaled[-1], 6))
             expected = feasible_vectors(tuple(min(v, d) for v in scaled), d)
             assert enumerate_strategies(_one_player(scaled, d), 0) == expected
+
+
+def test_verify_pne_refuses_a_profile_of_another_player_count():
+    # one strategy for two players used to raise IndexError
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = compute_pne(g)
+    for strategies in (profile.strategies[:1], profile.strategies + ((1, 0),)):
+        with pytest.raises(MalformedInputError) as err:
+            verify_pne(g, Profile(strategies))
+        assert str(err.value) == f"profile has {len(strategies)} players, instance has 2"
+
+
+def test_brute_force_best_response_refuses_a_player_or_profile_the_game_does_not_have():
+    # a one-strategy profile used to raise IndexError for player 1, and
+    # player -1 was answered for the last player
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = compute_pne(g)
+    with pytest.raises(MalformedInputError, match="^profile has 1 players, instance has 2$"):
+        brute_force_best_response(g, Profile(profile.strategies[:1]), 1)
+    for i in (2, -1):
+        with pytest.raises(MalformedInputError, match=f"^player index {i} out of range$"):
+            brute_force_best_response(g, profile, i)

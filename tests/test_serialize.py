@@ -385,6 +385,24 @@ def test_the_trace_writer_refuses_events_that_do_not_fit_the_game():
             f"trace event 1 holds {value!r}, which is no event kind, player, unit "
             f"or resource index of the game: {bad}"
         )
+    # True and "x" used to be written as they are, and so was a marginal
+    # entry of "5" or 2.5, all for check_trace to reject
+    non_integers = (
+        ("outer", True, True),
+        ("inner", "x", "x"),
+        ("outer", 2.0, 2.0),
+        ("marginal_sorted", ("5", 2.5), "5"),
+        ("marginal_sorted", (3, 2.5), 2.5),
+        ("marginal_sorted", (3, False), False),
+    )
+    for field, value, held in non_integers:
+        bad = move._replace(**{field: value})
+        with pytest.raises(MalformedInputError) as err:
+            write_trace(g, Trace((move, bad)))
+        assert str(err.value) == f"trace event 1 holds {held!r}, which is not an int: {bad}"
+    # with both fields wrong, the first is named
+    with pytest.raises(MalformedInputError, match="^trace event 0 holds True"):
+        write_trace(g, Trace((TraceEvent("demand_increase", True, "x", 1, 1),)))
 
 
 def test_single_player_trace_has_no_improvement_moves():

@@ -612,8 +612,9 @@ def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
 
 
 def test_a_solve_runs_a_tight_set_pass_only_for_a_new_x(monkeypatch):
-    # a tight-set pass runs only when the player's x differs from the x of
-    # its previous pass
+    # a pass on a player's own x runs only when x differs from the x of its
+    # previous pass; every other pass is on x - e_r for the x just looked up,
+    # at most once per r in one search
     passes = []
     real_tight, real_pass = solver._SettleState.tight, bestresponse.tight_sets
 
@@ -627,24 +628,32 @@ def test_a_solve_runs_a_tight_set_pass_only_for_a_new_x(monkeypatch):
 
     monkeypatch.setattr(solver._SettleState, "tight", tight)
     monkeypatch.setattr(bestresponse, "tight_sets", tight_pass)
-    reused_passes = 0
+    reused_passes = exchange_passes = 0
     for seed in range(40):
         g = gen_random(seed, 4, 3, 3)
         passes.clear()
         compute_pne(g)
+        assert passes[0][0] == "lookup"
         last = {}
-        expected = []
         for kind, *rest in passes:
             if kind == "lookup":
                 i, x = rest
-                if last.get(i) != x:
-                    expected += [("lookup", i, x), ("pass", x)]
-                    last[i] = x
-                else:
-                    expected.append(("lookup", i, x))
+                removed = set()  # the r of each x - e_r pass in this search
+                own = last.get(i) != x  # a pass on x itself comes next
+                last[i] = x
+                if not own:
                     reused_passes += 1
-        assert passes == expected
-    assert reused_passes > 0
+            elif own:
+                assert rest == [x]
+                own = False
+            else:
+                (y,) = rest
+                (r,) = [r for r in range(g.m) if y[r] != x[r]]
+                assert y[r] == x[r] - 1 and r not in removed, (x, y)
+                removed.add(r)
+                exchange_passes += 1
+        assert not own
+    assert reused_passes > 0 and exchange_passes > 0
 
 
 def test_the_debug_solve_compares_the_settle_search_with_the_reference_scan(
@@ -675,3 +684,14 @@ def test_the_debug_solve_compares_the_kept_marginals_with_the_recomputed_vector(
         "kept marginal vector () is not the recomputed (1,); "
         "strategies=[(1, 0), (0, 0)] overloaded=0"
     )
+
+
+def test_improving_players_refuses_a_profile_of_another_player_count():
+    # three strategies used to raise IndexError, and one was answered with
+    # [0], as if it were a game of one player
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = compute_pne(g)
+    for strategies in (profile.strategies + ((1, 0),), profile.strategies[:1]):
+        with pytest.raises(MalformedInputError) as err:
+            improving_players(g, Profile(strategies))
+        assert str(err.value) == f"profile has {len(strategies)} players, instance has 2"

@@ -2,15 +2,16 @@
 
 Random polymatroids come from ``bounded_random_rank`` and random vectors
 inside them from the independent product scan; every unit-step answer is
-checked against ``member_polytope`` on the stepped vector, and best-response
-tests against the exhaustive minimum weight. Tables and vectors scaled
-together by 2^s reach every packed field width, and their tight sets are
-checked against a subset-by-subset scan, and so are the union sat(x) and
-each intersection dep(x, s) that ``TightSets`` reads off them.
+checked against ``member_polytope`` on the stepped vector: one more unit on
+r fits iff r is outside sat(x), and a unit moves from r to s iff s is
+outside sat(x - e_r). Best-response tests run against the exhaustive
+minimum weight. Tables and vectors scaled together by 2^s reach every
+packed field width, and the sat(x) read off the flag word is checked
+against the union of a subset-by-subset scan's tight sets.
 """
 
 from functools import reduce
-from operator import and_, or_
+from operator import or_
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -66,13 +67,13 @@ def test_tight_sets_on_the_worked_example():
     f = RankFunction((0, 2, 1, 2))  # a alone 2, b alone 1, both 2
     tight = tight_sets(f, (1, 1))  # tight: {b} and {a, b}
     assert tight.feasible and tight.saturated == 0b11
-    assert tight.dependent(0) == 0b11 and tight.dependent(1) == 0b10
-    assert tight.can_exchange(1, 0)  # (2, 0) is inside
-    assert not tight.can_exchange(0, 1)  # (0, 2) overfills b
-    tight = tight_sets(f, (0, 1))
-    assert tight.saturated == 0b10 and tight.dependent(1) == 0b10
-    assert tight.can_add(0) and not tight.can_add(1)
-    assert tight.dependent(0) == 0
+    assert not tight.can_add(0) and not tight.can_add(1)
+    # a unit moves from r to s iff s is outside sat(x - e_r)
+    from_b = tight_sets(f, (1, 0))  # only the empty set is tight
+    assert from_b.saturated == 0 and from_b.can_add(0)  # (2, 0) is inside
+    from_a = tight_sets(f, (0, 1))  # tight: {b}
+    assert from_a.saturated == 0b10 and not from_a.can_add(1)  # (0, 2) overfills b
+    assert from_a.can_add(0)
     assert not tight_sets(f, (0, 2)).feasible
 
 
@@ -84,10 +85,14 @@ def test_tight_sets_match_member_polytope_on_every_unit_step(case):
     assert tight.feasible
     for r in range(f.m):
         assert tight.can_add(r) == member_polytope(f, _stepped(x, add=r))
+        if not x[r]:
+            continue
+        less = tight_sets(f, _stepped(x, remove=r))
+        assert less.feasible
         for s in range(f.m):
-            if s != r and x[r]:
+            if s != r:
                 swapped = _stepped(x, remove=r, add=s)
-                assert tight.can_exchange(r, s) == member_polytope(f, swapped)
+                assert less.can_add(s) == member_polytope(f, swapped)
 
 
 @DIFFERENTIAL
@@ -145,12 +150,9 @@ def test_tight_sets_on_scaled_tables_match_the_subset_scan(case):
     assert tight.feasible == member_polytope(f, x)
     if tight.feasible:
         sums = _subset_sums(x)
-        expected = tuple(mask for mask, value in enumerate(f.values) if sums[mask] == value)
-        assert tight.tight == expected
-        assert tight.saturated == reduce(or_, expected, 0)
-        for s in range(f.m):
-            holding = [mask for mask in expected if mask >> s & 1]
-            assert tight.dependent(s) == (reduce(and_, holding) if holding else 0)
+        tight_masks = [mask for mask, value in enumerate(f.values) if sums[mask] == value]
+        # sat(x) is the union of the tight sets, and 0 when there are none
+        assert tight.saturated == reduce(or_, tight_masks, 0)
 
 
 @DIFFERENTIAL
