@@ -70,7 +70,9 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
     """
     counts = _checked_vector(counts, f.m)
     tight = tight_sets(f, counts)
-    return [(r, c + 1) for r, c in enumerate(counts) if tight.feasible and tight.can_add(r)]
+    if not tight.feasible:
+        return []
+    return [(r, c + 1) for r, c in enumerate(counts) if tight.can_add(r)]
 
 
 def _extend_once(

@@ -110,13 +110,17 @@ def brute_force_best_response(
     """
     _check_profile(g, p)
     options = enumerate_strategies(g, i)  # checks i
-    if not options:
-        raise MalformedInputError(f"player {i} has no feasible strategy")
     loads = p.loads(g.m)
     others = tuple(loads[r] - p.strategies[i][r] for r in range(g.m))
-    # min keeps the first of equal costs, and the options ascend
-    best = min(options, key=lambda y: _cost_against(g, i, others, y))
-    return best, _cost_against(g, i, others, best)
+    best: tuple[int, ...] | None = None
+    best_cost: int | None = None
+    for y in options:
+        cost = _cost_against(g, i, others, y)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = y, cost
+    if best is None:
+        raise MalformedInputError(f"player {i} has no feasible strategy")
+    return best, best_cost
 
 
 @dataclass(frozen=True)

@@ -634,9 +634,10 @@ def test_a_solve_runs_a_tight_set_pass_only_for_a_new_x(monkeypatch):
         passes.clear()
         compute_pne(g)
         assert passes[0][0] == "lookup"
-        last = {}
+        last, own = {}, False
         for kind, *rest in passes:
             if kind == "lookup":
+                assert not own, rest  # the last new x went without its pass
                 i, x = rest
                 removed = set()  # the r of each x - e_r pass in this search
                 own = last.get(i) != x  # a pass on x itself comes next
