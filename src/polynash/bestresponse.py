@@ -10,7 +10,7 @@ The solver's settle state runs the same addition and exchange loops.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
 from .game import GameInstance, Profile, WeightedGround, _check_fit, induced_weights
@@ -78,8 +78,8 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
 def _extend_once(
     f: RankFunction, w: WeightedGround, counts: tuple[int, ...]
 ) -> tuple[int, ...]:
-    tight = _tight_inside(f, counts)
-    r = _cheapest_addition(_row_prices(w.weights, counts)[1], tight)
+    sat = _tight_inside(f, counts).saturated
+    r = _cheapest_addition(_row_prices(w.weights, counts)[1], sat)
     return counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
 
 
@@ -93,16 +93,17 @@ def _row_prices(
     )
 
 
-def _cheapest_addition(nxt: Sequence[int | None], tight: TightSets) -> int:
+def _cheapest_addition(nxt: Sequence[int | None], sat: int) -> int:
     """Resource of the cheapest feasible next chain position, lowest index on ties.
 
     ``nxt[r]`` prices the next free position on r (None when the chain is
-    full); ``tight`` holds sat(x) of a vector x inside the polytope.
+    full); ``sat`` is sat(x) of a vector x inside the polytope, and one
+    more unit fits on r iff r is outside it.
     Raises InfeasibleTruncationError when no chain can take a unit.
     """
     best: tuple[int, int] | None = None  # (weight, resource)
     for r, wt in enumerate(nxt):
-        if wt is not None and tight.can_add(r) and (best is None or wt < best[0]):
+        if wt is not None and not sat >> r & 1 and (best is None or wt < best[0]):
             best = (wt, r)
     if best is None:
         raise InfeasibleTruncationError(
@@ -155,9 +156,13 @@ def local_improvement(
     within sat(x); see :class:`~polynash.rank.TightSets`.
     """
     counts = _checked_vector(counts, f.m)
-    tight = _tight_inside(f, counts)
+    sat = _tight_inside(f, counts).saturated
     _require_coverage(f, w, sum(counts))
-    return _best_exchange(f, counts, *_row_prices(w.weights, counts), tight)
+
+    def sat_less(r: int) -> int:
+        return tight_sets(f, counts[:r] + (counts[r] - 1,) + counts[r + 1 :]).saturated
+
+    return _best_exchange(counts, *_row_prices(w.weights, counts), sat, sat_less)
 
 
 def _tight_inside(f: RankFunction, x: tuple[int, ...]) -> TightSets:
@@ -169,32 +174,33 @@ def _tight_inside(f: RankFunction, x: tuple[int, ...]) -> TightSets:
 
 
 def _best_exchange(
-    f: RankFunction,
     counts: tuple[int, ...],
     top: Sequence[int | None],
     nxt: Sequence[int | None],
-    tight: TightSets,
+    sat: int,
+    sat_less: Callable[[int], int],
 ) -> SwapStep | None:
     """The exchange loop of :func:`local_improvement`, on two prices per chain.
 
     ``top[r]`` prices the highest position ``counts`` holds on r (None when
     it holds none), ``nxt[r]`` the next free one (None when the chain is
-    full). ``tight`` holds sat(x) of x = ``counts`` inside the polytope of f;
-    an exchange onto s in sat(x) is decided by sat(x - e_r), built once per r.
+    full). ``sat`` is sat(x) of x = ``counts`` inside the polytope; an
+    exchange onto s in sat(x) is decided by ``sat_less(r)``, sat(x - e_r),
+    asked once per r.
     """
     gain, best = 0, None  # the largest saving so far, and its (r, s)
     for r, w_out in enumerate(top):
         if w_out is None:
             continue
-        less = None  # the pass on x - e_r, once an exchange needs it
+        less = None  # sat(x - e_r), once an exchange needs it
         for s, w_s in enumerate(nxt):
             # an exchange that does not beat the best saving needs no capacity test
             if w_s is None or w_out - w_s <= gain or s == r:
                 continue
-            if not tight.can_add(s):
+            if sat >> s & 1:
                 if less is None:
-                    less = tight_sets(f, counts[:r] + (counts[r] - 1,) + counts[r + 1 :])
-                if not less.can_add(s):
+                    less = sat_less(r)
+                if less >> s & 1:
                     continue
             gain, best = w_out - w_s, (r, s)
     if best is None:
@@ -282,7 +288,7 @@ def is_best_response(g: GameInstance, p: Profile, i: int) -> bool:
     otherwise); it is then optimal exactly when no single exchange improves
     it (see :func:`local_improvement`).
     """
-    _check_fit(g, p, i)
+    i = _check_fit(g, p, i)
     x = p.strategies[i]
     if sum(x) == 0:
         return True

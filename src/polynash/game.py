@@ -20,7 +20,8 @@ from .errors import (
     MalformedInputError,
     ValidationError,
 )
-from .rank import RankFunction, _checked_vector, _integers, member_base, validate_rank
+from .rank import RankFunction, _checked_vector, _index, _integers, member_base
+from .rank import validate_rank
 
 __all__ = [
     "CostTable",
@@ -362,17 +363,21 @@ class GameInstance:
                 )
 
 
-def _check_fit(g: GameInstance, p: Profile | None = None, i: int | None = None) -> None:
-    """Raise unless ``p`` holds one strategy per player of ``g`` and ``i`` is a player."""
+def _check_fit(
+    g: GameInstance, p: Profile | None = None, i: int | None = None
+) -> int | None:
+    """Raise unless ``p`` holds one strategy per player of ``g`` and ``i`` is a player.
+
+    Returns ``i`` as an int (1.0 is converted, "1" refused), None without one.
+    """
     if p is not None and (k := len(p.strategies)) != g.n:
         raise MalformedInputError(f"profile has {k} players, instance has {g.n}")
-    if i is not None and not 0 <= i < g.n:
-        raise MalformedInputError(f"player index {i} out of range")
+    return None if i is None else _index(i, g.n, "player")
 
 
 def private_cost(g: GameInstance, p: Profile, i: int) -> int:
     """Exact bill of player i: sum over resources of price-at-load times own units."""
-    _check_fit(g, p, i)
+    i = _check_fit(g, p, i)
     loads = p.loads(g.m)
     strategy = p.strategies[i]
     return sum(
@@ -394,7 +399,7 @@ def induced_weights(g: GameInstance, i: int, a: Sequence[int]) -> WeightedGround
     too short and AdmissibilityError when a row decreases (a table that is not
     load-sensitive); neither happens on a validated instance.
     """
-    _check_fit(g, i=i)
+    i = _check_fit(g, i=i)
     loads = _checked_vector(a, g.m, "opponent loads")
     rows = []
     for r, load in enumerate(loads):

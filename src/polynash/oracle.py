@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .errors import EnumerationTooLargeError, MalformedInputError
 from .game import GameInstance, Profile
+from .rank import _index
 
 __all__ = [
     "PROFILE_CAP",
@@ -60,8 +61,7 @@ def enumerate_strategies(g: GameInstance, i: int) -> list[tuple[int, ...]]:
 
     Raises EnumerationTooLargeError past ``STRATEGY_CAP`` or POLYNASH_MAX_ENUM.
     """
-    if not 0 <= i < g.n:
-        raise MalformedInputError(f"player index {i} out of range")
+    i = _index(i, g.n, "player")
     d = g.demands[i]
     limit = _cap(STRATEGY_CAP)
     values = g.ranks[i].values
@@ -109,7 +109,8 @@ def brute_force_best_response(
     strategy together with its exact cost.
     """
     _check_profile(g, p)
-    options = enumerate_strategies(g, i)  # checks i
+    i = _index(i, g.n, "player")
+    options = enumerate_strategies(g, i)
     loads = p.loads(g.m)
     others = tuple(loads[r] - p.strategies[i][r] for r in range(g.m))
     best: tuple[int, ...] | None = None

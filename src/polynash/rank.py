@@ -37,6 +37,15 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     return tuple(map(int, values))
 
 
+def _index(v, size: int, what: str) -> int:
+    """v as an index below ``size`` by the rule of :func:`_integers`; errors name ``what``."""
+    if type(v) is not int:
+        (v,) = _integers((v,), f"{what} indices")
+    if not 0 <= v < size:
+        raise MalformedInputError(f"{what} index {v} out of range")
+    return v
+
+
 @dataclass(frozen=True)
 class RankFunction:
     """Integer set function f: 2^R -> N as an explicit bitmask-indexed table.
@@ -90,14 +99,16 @@ class RankFunction:
         return self.values[-1]
 
     def __call__(self, mask: int) -> int:
+        if type(mask) is not int:
+            (mask,) = _integers((mask,), "subset masks")
         if not 0 <= mask < len(self.values):
             raise MalformedInputError(f"subset mask {mask} out of range")
         return self.values[mask]
 
     def singleton(self, r: int) -> int:
         """Value on the single resource r; the capacity of r's chain."""
-        if not 0 <= r < self.m:
-            raise MalformedInputError(f"resource index {r} out of range")
+        if type(r) is not int or not 0 <= r < self.m:
+            r = _index(r, self.m, "resource")
         return self.values[1 << r]
 
 
@@ -226,10 +237,20 @@ def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
     slack = (f.packed | guards) - sums
     if slack & guards != guards:
         return TightSets(False, 0)
-    # one less clears the guard exactly where f(U) = x(U); sat(x) is the
-    # highest such field, whose index reads -1 if there is none (f(0) > 0)
+    return TightSets(True, _saturated(slack, ones, guards, w))
+
+
+def _saturated(slack: int, ones: int, guards: int, w: int) -> int:
+    """sat(x) read off a slack word of x inside the polytope.
+
+    Field U of ``slack`` holds 2^(w-1) + f(U) - x(U), at least 2^(w-1), and
+    ``ones`` holds 1 in every field. One less clears the guard exactly where
+    f(U) = x(U); sat(x) is the highest such field U, whose flag sets the
+    bit length to (U + 1) * w, and 0 if there is none (f(0) > 0).
+    ``guards`` is ``ones << (w - 1)``.
+    """
     flags = ((slack - ones) & guards) ^ guards
-    return TightSets(True, max(0, (flags.bit_length() - 1) // w))
+    return (flags.bit_length() // w or 1) - 1
 
 
 def member_polytope(f: RankFunction, x: Sequence[int]) -> bool:

@@ -17,11 +17,12 @@ from itertools import repeat
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
 
-from .bestresponse import SwapStep, _best_exchange, _cheapest_addition, _tight_inside
+from .bestresponse import SwapStep, _best_exchange, _cheapest_addition
 from .bestresponse import is_best_response, repair_best_response
-from .errors import CostTableRangeError, InvariantError, MalformedInputError
+from .errors import ContractError, CostTableRangeError, InvariantError
+from .errors import MalformedInputError
 from .game import GameInstance, Profile, _check_fit, induced_weights
-from .rank import TightSets, _checked_vector, _integers
+from .rank import _checked_vector, _index, _integers, _saturated, tight_sets
 
 __all__ = [
     "SolverPolicy",
@@ -122,8 +123,8 @@ def marginal_vector(
     if len(strategies) != g.n:
         raise MalformedInputError(f"{len(strategies)} strategies for {g.n} players")
     strategies = [_checked_vector(s, g.m, "strategy counts") for s in strategies]
-    if overloaded is not None and not 0 <= overloaded < g.m:
-        raise MalformedInputError(f"resource index {overloaded} out of range")
+    if overloaded is not None:
+        overloaded = _index(overloaded, g.m, "resource")
     loads = tuple(map(sum, zip(*strategies)))
     marginals: list[int] = []
     for i, strategy in enumerate(strategies):
@@ -176,8 +177,8 @@ def improving_players(
     improvable, and an improvable player without one raises InvariantError.
     """
     _check_fit(g, p)
-    if overloaded is not None and not 0 <= overloaded < g.m:
-        raise MalformedInputError(f"resource index {overloaded} out of range")
+    if overloaded is not None:
+        overloaded = _index(overloaded, g.m, "resource")
     out = []
     for i, x in enumerate(p.strategies):
         if is_best_response(g, p, i):
@@ -196,13 +197,16 @@ def _check_state(
     p: Profile,
     over: int,
     kept: tuple[int, ...],
+    sats: Sequence[int],
     found: tuple[int | None, SwapStep | None],
 ) -> None:
-    """Debug check of one state: the kept marginals and the settle search.
+    """Debug check of one state: the kept marginals, each sat(x) and the search.
 
     The kept marginal vector must equal :func:`marginal_vector` recomputed
-    from the strategies. The search's reference is the first improvable
-    player of the full locality scan together with the exchange of its
+    from the strategies, and each player's kept sat(x) must be the one a
+    :func:`~polynash.rank.tight_sets` pass finds for x inside the polytope.
+    The search's reference is the first improvable player of the full
+    locality scan together with the exchange of its
     :func:`repair_best_response`, fresh from the instance: the weights rose
     only on ``over``, and the repair confirms by enumeration that the mover's
     x was optimal before that.
@@ -213,6 +217,13 @@ def _check_state(
             f"kept marginal vector {kept} is not the recomputed {marginals}; "
             f"strategies={list(p.strategies)} overloaded={over}"
         )
+    for i, (x, sat) in enumerate(zip(p.strategies, sats)):
+        tight = tight_sets(g.ranks[i], x)
+        if not tight.feasible or tight.saturated != sat:
+            raise InvariantError(
+                f"player {i} keeps sat(x) {sat} at x={x}, a tight-set pass gives "
+                f"{tight.saturated if tight.feasible else 'x outside the polytope'}"
+            )
     reference = improving_players(g, p, over)
     expected: tuple[int | None, SwapStep | None] = (None, None)
     if reference:
@@ -253,8 +264,16 @@ class _SettleState:
       there is no such position);
     - the marginal values of the placed units (see :func:`marginal_vector`)
       as one ascending list, which each step changes only in its groups;
-    - each player's sat(x) at its current strategy x, built with the
-      polytope check by the first lookup after a step changed it.
+    - per player, a slack word laid out like the packed rank table, whose
+      w-bit field U holds 2^(w-1) + f(U) - x(U). A unit step subtracts the
+      mask of its new resource r (1 in each field whose subset holds r) and
+      adds that of its old one; a cleared guard bit means x left the
+      polytope. ``sat[i]`` is sat(x), read off the word after each step,
+      and sat(x - e_r) is the same read on the word plus the mask of r.
+
+    A mask depends only on m, w and r and is as large as one packed table;
+    masks are kept for reuse up to 8 bytes per rank-table entry of the game
+    (its tables' size in 64-bit fields), and built for each use past that.
     """
 
     def __init__(self, g: GameInstance) -> None:
@@ -272,7 +291,20 @@ class _SettleState:
             ]
             for r in range(g.m)
         ]
-        self._tight: list[TightSets | None] = [None] * g.n
+        # each player's layout (w, ones, guards, masks), shared by the players
+        # whose tables have the same field width; masks[r] is 0 until kept
+        layouts: dict[int, tuple[int, int, int, list[int]]] = {}
+        for w in {f.width for f in g.ranks}:
+            ones = int.from_bytes((1).to_bytes(w >> 3, "little") * (1 << g.m), "little")
+            layouts[w] = (w, ones, ones << (w - 1), [0] * g.m)
+        self._layouts = [layouts[f.width] for f in g.ranks]
+        # at x = 0, field U holds 2^(w-1) + f(U); sat(0) need not be empty
+        self._slack = [f.packed | lay[2] for f, lay in zip(g.ranks, self._layouts)]
+        self.sat = [
+            _saturated(slack, ones, guards, w)
+            for slack, (w, ones, guards, _) in zip(self._slack, self._layouts)
+        ]
+        self._mask_room = g.n << g.m << 3  # bytes the kept masks may still take
         self.top: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
         self.nxt: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
         for r in range(g.m):
@@ -289,6 +321,24 @@ class _SettleState:
             top[i][r] = own * here - (own - 1) * c[load - 1] if own else None
             nxt[i][r] = (own + 1) * c[load + 1] - own * here if own < cap else None
 
+    def _mask(self, layout: tuple[int, int, int, list[int]], r: int) -> int:
+        """The mask of resource r in ``layout``, kept for reuse while there is room."""
+        w, _, _, masks = layout
+        mask = masks[r]
+        if not mask:
+            one, blank, run = (1).to_bytes(w >> 3, "little"), bytes(w >> 3), 1 << r
+            fields = (blank * run + one * run) * (1 << (self.g.m - 1 - r))
+            mask = int.from_bytes(fields, "little")
+            if len(fields) <= self._mask_room:
+                masks[r] = mask
+                self._mask_room -= len(fields)
+        return mask
+
+    def _sat_less(self, i: int, r: int) -> int:
+        """sat(x - e_r) of player i's current strategy x, which holds a unit on r."""
+        layout = w, ones, guards, _ = self._layouts[i]
+        return _saturated(self._slack[i] + self._mask(layout, r), ones, guards, w)
+
     def _holders(self, r: int) -> list[_Group]:
         """The nonempty groups on resource r, by player index."""
         strategies = self.strategies
@@ -299,9 +349,21 @@ class _SettleState:
         """Move player i's unit from ``from_r`` (None: a new unit) to ``to_r``.
 
         ``to_r`` becomes ``over``; ``groups`` must hold every group whose
-        marginal value the step changes. Returns the unit's index.
+        marginal value the step changes. Returns the unit's index. Raises
+        ContractError, before anything changes, if the step leaves player
+        i's polytope.
         """
         marginals, strategies, loads = self._marginals, self.strategies, self.loads
+        x, layout = list(strategies[i]), self._layouts[i]
+        w, ones, guards, masks = layout
+        x[to_r] += 1
+        slack = self._slack[i] - (masks[to_r] or self._mask(layout, to_r))
+        if from_r is not None:
+            x[from_r] -= 1
+            slack += masks[from_r] or self._mask(layout, from_r)
+        if slack & guards != guards:
+            raise ContractError(f"count vector {tuple(x)} lies outside the polytope")
+        self._slack[i], self.sat[i] = slack, _saturated(slack, ones, guards, w)
         # a group's value is priced at load index L + [r != over]: take out
         # the changed groups' values before the step, put them back after it
         for j, r, c in groups:
@@ -309,18 +371,16 @@ class _SettleState:
                 k = loads[r] + (r != self.over)
                 at = bisect_left(marginals, own * c[k] - (own - 1) * c[k - 1])
                 del marginals[at : at + own]
-        x, homes = list(strategies[i]), self.homes[i]
-        x[to_r] += 1
+        homes = self.homes[i]
         loads[to_r] += 1
         if from_r is None:
             unit = len(homes)
             homes.append(to_r)
         else:
-            x[from_r] -= 1
             loads[from_r] -= 1
             unit = homes.index(from_r)
             homes[unit] = to_r
-        strategies[i], self._tight[i], self.over = tuple(x), None, to_r
+        strategies[i], self.over = tuple(x), to_r
         for r in (to_r,) if from_r is None else (from_r, to_r):
             self._reprice(r)
         for j, r, c in groups:
@@ -335,17 +395,10 @@ class _SettleState:
         """The marginal values of all placed units, non-increasing."""
         return tuple(reversed(self._marginals))
 
-    def tight(self, i: int, x: tuple[int, ...]) -> TightSets:
-        """sat(x) of player i's current strategy x, inside its polytope."""
-        tight = self._tight[i]
-        if tight is None:
-            tight = self._tight[i] = _tight_inside(self.g.ranks[i], x)
-        return tight
-
     def insert(self, i: int) -> int:
         """Place player i's cheapest feasible extra unit; return its resource."""
         x = self.strategies[i]
-        r = _cheapest_addition(self.nxt[i], self.tight(i, x))
+        r = _cheapest_addition(self.nxt[i], self.sat[i])
         # the groups on the old overloaded resource and the inserter's on r
         groups = [] if self.over is None else self._holders(self.over)
         if self.over != r or not x[r]:
@@ -355,13 +408,15 @@ class _SettleState:
 
     def exchange(self, i: int) -> SwapStep | None:
         """Player i's best improving exchange against the others' loads, or None."""
-        x, f = self.strategies[i], self.g.ranks[i]
-        return _best_exchange(f, x, self.top[i], self.nxt[i], self.tight(i, x))
+        x, sat_less = self.strategies[i], lambda r: self._sat_less(i, r)
+        return _best_exchange(x, self.top[i], self.nxt[i], self.sat[i], sat_less)
 
     def first_move(self, over: int) -> tuple[int, SwapStep] | tuple[None, None]:
         """The first holder of ``over`` by index with an improving exchange, and it."""
-        for i, _, _ in self._holders(over):
-            if (swap := self.exchange(i)) is not None:
+        strategies = self.strategies
+        # only a player who can hold units on over is in its chain list
+        for i, _, _ in self._chains[over]:
+            if strategies[i][over] and (swap := self.exchange(i)) is not None:
                 return i, swap
         return None, None
 
@@ -434,7 +489,8 @@ def compute_pne(
             # the first improvable holder moves by the exchange that shows it
             j, swap = settle.first_move(over)
             if policy.debug_assertions:
-                _check_state(g, Profile(tuple(strategies)), over, snapshot, (j, swap))
+                p = Profile(tuple(strategies))
+                _check_state(g, p, over, snapshot, settle.sat, (j, swap))
             if swap is None:
                 break
             inner += 1

@@ -271,3 +271,15 @@ def reference_write_trace(g, trace) -> bytes:
     lines = [encode(header)]
     lines.extend(encode(_reference_event_record(g, e)) for e in trace.events)
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def assert_index_rule(call, what: str) -> None:
+    """``call`` refuses the index "1" by name and answers 1.0 and True as 1."""
+    import pytest
+
+    from polynash import MalformedInputError
+
+    with pytest.raises(MalformedInputError) as err:
+        call("1")
+    assert str(err.value) == f"{what} must be integers, got '1'"
+    assert call(1.0) == call(True) == call(1)

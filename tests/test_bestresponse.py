@@ -24,6 +24,7 @@ from polynash import solver
 from polynash.generators import gen_random
 
 from helpers import (
+    assert_index_rule,
     bounded_random_rank,
     hamming,
     min_weight,
@@ -284,9 +285,12 @@ def test_the_outside_the_polytope_message():
     with pytest.raises(ContractError) as err:
         local_improvement(F_AB, (0, 2), W_AB)
     assert str(err.value) == message
+    settle = solver._SettleState(g)
+    settle._step(0, None, 1, [])
     with pytest.raises(ContractError) as err:
-        solver._SettleState(g).tight(0, (0, 2))
+        settle._step(0, None, 1, [])  # the slack word's guard bit on {b} clears
     assert str(err.value) == message
+    assert settle.strategies == [(0, 1)] and settle.loads == [0, 1]
 
 
 def test_the_no_feasible_addition_message():
@@ -313,3 +317,10 @@ def test_is_best_response_refuses_a_player_or_profile_the_game_does_not_have():
             is_best_response(g, profile, i)
     with pytest.raises(MalformedInputError, match="^profile has 1 players, instance has 2$"):
         is_best_response(g, Profile(profile.strategies[:1]), 0)
+
+
+def test_is_best_response_takes_player_indices_by_the_one_input_rule():
+    # 1.0 used to raise TypeError: tuple indices must be integers
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = solver.compute_pne(g)
+    assert_index_rule(lambda i: is_best_response(g, profile, i), "player indices")

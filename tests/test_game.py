@@ -26,7 +26,7 @@ from polynash.generators import (
     random_convex_table,
 )
 
-from helpers import ssc_ok
+from helpers import assert_index_rule, ssc_ok
 
 SQUARES = tuple(k * k for k in range(12))
 LINEAR = tuple(range(12))
@@ -458,3 +458,15 @@ def test_private_cost_refuses_a_player_or_profile_the_game_does_not_have():
         private_cost(g, Profile(profile.strategies[:1]), 1)
     with pytest.raises(MalformedInputError, match="^player index 2 out of range$"):
         private_cost(g, profile, 2)
+
+
+def test_private_cost_takes_player_indices_by_the_one_input_rule():
+    # "1" used to raise TypeError from the range test
+    g = gen_random(0, 2, 2, 2)
+    p = Profile(((1, 1), (1, 1)))
+    assert_index_rule(lambda i: private_cost(g, p, i), "player indices")
+
+
+def test_induced_weights_takes_player_indices_by_the_one_input_rule():
+    g = gen_random(0, 2, 2, 2)
+    assert_index_rule(lambda i: induced_weights(g, i, (0, 0)), "player indices")

@@ -21,7 +21,7 @@ from polynash import (
 )
 from polynash.generators import gen_random, random_rank
 
-from helpers import SCALE_SHIFTS, feasible_vectors, fitting_shift, shared_pool_instance
+from helpers import SCALE_SHIFTS, assert_index_rule, feasible_vectors, fitting_shift, shared_pool_instance
 
 
 def test_single_player_oracle_matches_the_greedy_optimum():
@@ -170,3 +170,11 @@ def test_brute_force_best_response_refuses_a_player_or_profile_the_game_does_not
     for i in (2, -1):
         with pytest.raises(MalformedInputError, match=f"^player index {i} out of range$"):
             brute_force_best_response(g, profile, i)
+
+
+def test_brute_force_best_response_takes_player_indices_by_the_one_input_rule():
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = compute_pne(g)
+    assert_index_rule(
+        lambda i: brute_force_best_response(g, profile, i), "player indices"
+    )

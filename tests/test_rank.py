@@ -21,7 +21,7 @@ from polynash import (
 )
 from polynash.rank import MAX_RANK_ENTRY
 
-from helpers import bounded_random_rank, feasible_vectors, full_pair_rank_ok
+from helpers import assert_index_rule, bounded_random_rank, feasible_vectors, full_pair_rank_ok
 
 F_AB = RankFunction((0, 2, 1, 2))  # two resources: a alone 2, b alone 1, both 2
 
@@ -209,3 +209,17 @@ def test_member_base_and_enumerate_base_agree_with_the_member_polytope_reference
         for r in range(m):
             grown = x[:r] + (x[r] + 1,) + x[r + 1 :]  # right vector, wrong sum
             assert not member_base(f, d, grown)
+
+
+def test_singleton_takes_resource_indices_by_the_one_input_rule():
+    f = RankFunction((0, 2, 1, 2))
+    assert_index_rule(f.singleton, "resource indices")
+    with pytest.raises(MalformedInputError, match="^resource index 2 out of range$"):
+        f.singleton(2.0)
+
+
+def test_a_rank_function_takes_subset_masks_by_the_one_input_rule():
+    f = RankFunction((0, 2, 1, 2))
+    assert_index_rule(f, "subset masks")
+    with pytest.raises(MalformedInputError, match="^subset mask 4 out of range$"):
+        f(4.0)

@@ -29,7 +29,8 @@ from polynash import (
     private_cost,
     verify_pne,
 )
-from polynash import bestresponse, solver
+import polynash
+from polynash import bestresponse, rank, solver
 from polynash.generators import gen_random, gen_singleton, random_convex_table
 from polynash.serialize import write_profile, write_trace
 from polynash.solver import (
@@ -39,7 +40,7 @@ from polynash.solver import (
     EVENT_IMPROVEMENT_MOVE,
 )
 
-from helpers import shared_pool_instance
+from helpers import assert_index_rule, shared_pool_instance
 
 
 def test_two_player_split_across_resources():
@@ -611,50 +612,32 @@ def test_settle_state_agrees_with_fresh_weights_and_the_reference_scan(
         assert found == _reference_move(g, p, over), (p, over)
 
 
-def test_a_solve_runs_a_tight_set_pass_only_for_a_new_x(monkeypatch):
-    # a pass on a player's own x runs only when x differs from the x of its
-    # previous pass; every other pass is on x - e_r for the x just looked up,
-    # at most once per r in one search
-    passes = []
-    real_tight, real_pass = solver._SettleState.tight, bestresponse.tight_sets
-
-    def tight(self, i, x):
-        passes.append(("lookup", i, x))
-        return real_tight(self, i, x)
+def test_a_default_solve_runs_no_tight_set_pass(monkeypatch):
+    # the settle state steps its slack words, so every tight-set pass of a
+    # solve comes from the debug checks, at least one per state
+    passes, states = [], []
+    real_pass, real_first_move = rank.tight_sets, solver._SettleState.first_move
 
     def tight_pass(f, x):
-        passes.append(("pass", x))
+        passes.append(x)
         return real_pass(f, x)
 
-    monkeypatch.setattr(solver._SettleState, "tight", tight)
-    monkeypatch.setattr(bestresponse, "tight_sets", tight_pass)
-    reused_passes = exchange_passes = 0
+    def first_move(self, over):
+        states.append(over)
+        return real_first_move(self, over)
+
+    for module in (polynash, rank, bestresponse, solver):
+        if getattr(module, "tight_sets", None) is real_pass:
+            monkeypatch.setattr(module, "tight_sets", tight_pass)
+    monkeypatch.setattr(solver._SettleState, "first_move", first_move)
     for seed in range(40):
         g = gen_random(seed, 4, 3, 3)
+        profile, trace = compute_pne(g)
+        assert passes == [], seed
+        states.clear()
+        assert compute_pne(g, SolverPolicy(debug_assertions=True)) == (profile, trace)
+        assert len(passes) >= len(states) > 0, seed
         passes.clear()
-        compute_pne(g)
-        assert passes[0][0] == "lookup"
-        last, own = {}, False
-        for kind, *rest in passes:
-            if kind == "lookup":
-                assert not own, rest  # the last new x went without its pass
-                i, x = rest
-                removed = set()  # the r of each x - e_r pass in this search
-                own = last.get(i) != x  # a pass on x itself comes next
-                last[i] = x
-                if not own:
-                    reused_passes += 1
-            elif own:
-                assert rest == [x]
-                own = False
-            else:
-                (y,) = rest
-                (r,) = [r for r in range(g.m) if y[r] != x[r]]
-                assert y[r] == x[r] - 1 and r not in removed, (x, y)
-                removed.add(r)
-                exchange_passes += 1
-        assert not own
-    assert reused_passes > 0 and exchange_passes > 0
 
 
 def test_the_debug_solve_compares_the_settle_search_with_the_reference_scan(
@@ -687,6 +670,28 @@ def test_the_debug_solve_compares_the_kept_marginals_with_the_recomputed_vector(
     )
 
 
+def test_the_debug_solve_compares_each_kept_sat_with_a_tight_set_pass(monkeypatch):
+    # the crippled step marks a resource the game does not have as saturated,
+    # which no addition or exchange loop reads
+    real = solver._SettleState._step
+
+    def crippled(self, i, from_r, to_r, groups):
+        unit = real(self, i, from_r, to_r, groups)
+        self.sat[i] |= 1 << self.g.m
+        return unit
+
+    g = _arrival_game()
+    expected = compute_pne(g)
+    monkeypatch.setattr(solver._SettleState, "_step", crippled)
+    assert compute_pne(g) == expected  # without the comparison the flag goes unnoticed
+    with pytest.raises(InvariantError) as err:
+        compute_pne(g, SolverPolicy(debug_assertions=True))
+    # x = (1, 0) fills {a} and {a, b}
+    assert str(err.value) == (
+        "player 0 keeps sat(x) 7 at x=(1, 0), a tight-set pass gives 3"
+    )
+
+
 def test_improving_players_refuses_a_profile_of_another_player_count():
     # three strategies used to raise IndexError, and one was answered with
     # [0], as if it were a game of one player
@@ -696,3 +701,17 @@ def test_improving_players_refuses_a_profile_of_another_player_count():
         with pytest.raises(MalformedInputError) as err:
             improving_players(g, Profile(strategies))
         assert str(err.value) == f"profile has {len(strategies)} players, instance has 2"
+
+
+def test_improving_players_takes_resource_indices_by_the_one_input_rule():
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = compute_pne(g)
+    assert_index_rule(lambda r: improving_players(g, profile, r), "resource indices")
+
+
+def test_marginal_vector_takes_resource_indices_by_the_one_input_rule():
+    g = gen_random(0, 2, 2, 2)
+    profile, _ = compute_pne(g)
+    assert_index_rule(
+        lambda r: marginal_vector(g, profile.strategies, r), "resource indices"
+    )
