@@ -16,9 +16,10 @@ from .errors import ContractError, InfeasibleTruncationError, MalformedInputErro
 from .game import GameInstance, Profile, WeightedGround, _check_fit, induced_weights
 from .rank import (
     RankFunction,
-    TightSets,
+    _SlackWords,
     _check_demand,
     _checked_vector,
+    _integers,
     enumerate_base,
     tight_sets,
 )
@@ -75,14 +76,6 @@ def feasible_additions(f: RankFunction, counts: Sequence[int]) -> list[tuple[int
     return [(r, c + 1) for r, c in enumerate(counts) if tight.can_add(r)]
 
 
-def _extend_once(
-    f: RankFunction, w: WeightedGround, counts: tuple[int, ...]
-) -> tuple[int, ...]:
-    sat = _tight_inside(f, counts).saturated
-    r = _cheapest_addition(_row_prices(w.weights, counts)[1], sat)
-    return counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
-
-
 def _row_prices(
     rows: Sequence[Sequence[int]], counts: tuple[int, ...]
 ) -> tuple[list[int | None], list[int | None]]:
@@ -118,11 +111,14 @@ def ordered_greedy(f: RankFunction, d: int, w: WeightedGround) -> tuple[int, ...
     Every intermediate prefix of size k is itself minimum-weight among the
     ideals of size k. Ties go to the lowest resource index.
     """
-    _check_demand(f, d)
+    d = _check_demand(f, d)
     _require_coverage(f, w, d)
     counts = (0,) * f.m
+    words = _SlackWords((f,), (counts,))
     for _ in range(d):
-        counts = _extend_once(f, w, counts)
+        r = _cheapest_addition(_row_prices(w.weights, counts)[1], words.sat[0])
+        words.step(0, r)  # r lies outside sat(x), so the step stays inside
+        counts = counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
     return counts
 
 
@@ -139,7 +135,9 @@ def extend_best_response(
     d = sum(counts)
     _check_demand(f, d + 1)
     _require_coverage(f, w, d + 1)
-    return _extend_once(f, w, counts)
+    sat = _SlackWords((f,), (counts,)).sat[0]  # ContractError for counts outside
+    r = _cheapest_addition(_row_prices(w.weights, counts)[1], sat)
+    return counts[:r] + (counts[r] + 1,) + counts[r + 1 :]
 
 
 def local_improvement(
@@ -156,21 +154,10 @@ def local_improvement(
     within sat(x); see :class:`~polynash.rank.TightSets`.
     """
     counts = _checked_vector(counts, f.m)
-    sat = _tight_inside(f, counts).saturated
+    words = _SlackWords((f,), (counts,))  # ContractError for counts outside
     _require_coverage(f, w, sum(counts))
-
-    def sat_less(r: int) -> int:
-        return tight_sets(f, counts[:r] + (counts[r] - 1,) + counts[r + 1 :]).saturated
-
+    sat, sat_less = words.sat[0], lambda r: words.sat_less(0, r)
     return _best_exchange(counts, *_row_prices(w.weights, counts), sat, sat_less)
-
-
-def _tight_inside(f: RankFunction, x: tuple[int, ...]) -> TightSets:
-    """sat(x) of x, which must lie in the polytope of f (ContractError otherwise)."""
-    tight = tight_sets(f, x)
-    if not tight.feasible:
-        raise ContractError(f"count vector {x} lies outside the polytope")
-    return tight
 
 
 def _best_exchange(
@@ -214,6 +201,8 @@ def _check_shift_structure(
 ) -> None:
     if len(w_old.weights) != len(w_new.weights):
         raise ContractError("old and new weights cover different resource counts")
+    if type(shifted_resource) is not int:
+        (shifted_resource,) = _integers((shifted_resource,), "resource indices")
     if not 0 <= shifted_resource < len(w_old.weights):
         raise ContractError(f"shifted resource {shifted_resource} out of range")
     for r, (old_row, new_row) in enumerate(zip(w_old.weights, w_new.weights)):

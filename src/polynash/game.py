@@ -71,6 +71,8 @@ class CostTable:
         return len(self.values)
 
     def __getitem__(self, load: int) -> int:
+        if type(load) is not int:
+            (load,) = _integers((load,), "loads")
         if not 0 <= load < len(self.values):
             raise CostTableRangeError(
                 f"load {load} outside cost table of length {len(self.values)}"
@@ -125,6 +127,8 @@ def find_ssc_violation(c, u: int) -> tuple[int, int, int, int] | None:
     h * d_{k+1} >= h * d_k >= (h - 1) * d_k at every k.
     """
     values = _values_of(c)
+    if type(u) is not int:
+        (u,) = _integers((u,), "usage caps")
     if u < 1 or len(values) < 3:
         return None
     # d[k - 1] = c[k] - c[k - 1]; a list, as a tuple built from a map is
@@ -174,7 +178,7 @@ class WeightedGround:
             _check_chain(r, row)
 
     def length(self, r: int) -> int:
-        return len(self.weights[r])
+        return len(self.weights[_index(r, len(self.weights), "resource")])
 
     def ideal_weight(self, counts: Sequence[int]) -> int:
         """Total weight of the ideal taking the first counts[r] positions per chain."""
@@ -212,6 +216,8 @@ class Profile:
         object.__setattr__(self, "_loads", tuple(map(sum, zip(*strategies))))
 
     def loads(self, m: int | None = None) -> tuple[int, ...]:
+        if m is not None and type(m) is not int:
+            (m,) = _integers((m,), "resource counts")
         if not self.strategies:
             if m is None:
                 raise MalformedInputError("resource count needed for an empty profile")
@@ -334,13 +340,22 @@ class GameInstance:
         return sum(self.demands)
 
     def subset_label(self, mask: int) -> str:
+        """The names of the resources in the subset ``mask``, comma-separated."""
+        if type(mask) is not int:
+            (mask,) = _integers((mask,), "subset masks")
+        if not 0 <= mask < 1 << self.m:
+            raise MalformedInputError(f"subset mask {mask} out of range")
         return ",".join(
             self.resources[r] for r in range(self.m) if mask >> r & 1
         )
 
     def chain_cap(self, i: int, r: int) -> int:
         """Positions player i can ever occupy on r: min of capacity and demand."""
-        return min(self.ranks[i].singleton(r), self.demands[i])
+        demands = self.demands
+        if type(i) is not int or not 0 <= i < len(demands):
+            i = _index(i, len(demands), "player")
+        cap, d = self.ranks[i].singleton(r), demands[i]
+        return cap if cap < d else d
 
     def check_profile(self, p: Profile) -> None:
         """Raise unless every strategy sits in its player's base polyhedron."""

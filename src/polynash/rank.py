@@ -15,7 +15,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InfeasibleTruncationError, MalformedInputError
+from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
 
 MAX_RESOURCES = 20
 MAX_RANK_ENTRY = 2**63 - 1
@@ -212,45 +212,117 @@ class TightSets(NamedTuple):
 def tight_sets(f: RankFunction, x: Sequence[int]) -> TightSets:
     """Membership of x in the polytope of f together with sat(x).
 
+    The start of a one-player slack word (see :class:`_SlackWords`) and one
+    flag read. Answers the same membership question as
+    :func:`member_polytope` (the subset-by-subset reference); sat(x) needs
+    f submodular.
+    """
+    start = _start(f, _checked_vector(x, f.m))
+    return TightSets(True, _SlackWords.read(*start)) if start else TightSets(False, 0)
+
+
+def _start(f: RankFunction, x: tuple[int, ...]) -> tuple[int, int, int, int] | None:
+    """The slack word of x under f, then w, ``ones`` and ``guards``; None for x outside.
+
     One pass over the 2**m subsets, on ``f.packed``: x(U) for every U comes
     from a doubling DP of m shifts and adds (the sums over subsets of the
     first j + 1 resources are those of the first j resources, then the same
-    plus x_j). One subtraction from f with the guard bits set compares every
-    x(U) with f(U): x is inside iff no guard bit clears, and the tight sets
-    are the fields where f(U) - x(U) is zero; for a submodular f the highest
-    of them is their union. A vector whose total exceeds f(R) is outside at
-    once; otherwise every x(U) fits below the guard bit. Answers the same
-    membership question as :func:`member_polytope` (the subset-by-subset
-    reference); unit-step answers need f submodular.
+    plus x_j), which also builds ``ones``, 1 in every field. One
+    subtraction from f with the guard bits set compares every x(U) with
+    f(U): x is inside iff no guard bit clears. A vector whose total exceeds
+    f(R) is outside at once; otherwise every x(U) fits below the guard bit.
     """
-    vec = _checked_vector(x, f.m)
-    if sum(vec) > f.rank_of_all:
-        return TightSets(False, 0)
-    w = f.width
-    sums, ones, shift = 0, 1, w
-    for v in vec:
+    if sum(x) > f.rank_of_all:
+        return None
+    w = shift = f.width
+    sums, ones = 0, 1
+    for v in x:
         sums |= (sums + v * ones) << shift
         ones |= ones << shift
         shift <<= 1
     guards = ones << (w - 1)
     # field U holds 2^(w-1) + f(U) - x(U) > 0, so no field borrows from the next
-    slack = (f.packed | guards) - sums
-    if slack & guards != guards:
-        return TightSets(False, 0)
-    return TightSets(True, _saturated(slack, ones, guards, w))
+    word = (f.packed | guards) - sums
+    return (word, w, ones, guards) if word & guards == guards else None
 
 
-def _saturated(slack: int, ones: int, guards: int, w: int) -> int:
-    """sat(x) read off a slack word of x inside the polytope.
+class _SlackWords:
+    """Count vectors x_i in the polytopes of rank tables f_i, stepped unit by unit.
 
-    Field U of ``slack`` holds 2^(w-1) + f(U) - x(U), at least 2^(w-1), and
-    ``ones`` holds 1 in every field. One less clears the guard exactly where
-    f(U) = x(U); sat(x) is the highest such field U, whose flag sets the
-    bit length to (U + 1) * w, and 0 if there is none (f(0) > 0).
-    ``guards`` is ``ones << (w - 1)``.
+    Word i is laid out like the packed table of f_i: its w-bit field U
+    holds 2^(w-1) + f_i(U) - x_i(U), at least 2^(w-1) while x_i is inside.
+    A unit step onto r changes every x(U) by [r in U], so it subtracts the
+    mask of r (1 in each field whose subset holds r), and a move also adds
+    the mask of the resource it leaves; a cleared guard bit means the step
+    left the polytope. ``sat[i]`` is sat(x_i), read after each step, and
+    sat(x_i - e_r) is the same read on the word plus the mask of r. This
+    is the one place that knows the packed format.
+
+    The tables are over the same resources, and the words of the tables
+    with one field width share one layout: (w, ``ones``, the guard bits, the
+    masks). A mask is as large as one packed table, so masks are kept for
+    reuse up to 8 bytes per rank-table entry (the tables' size in 64-bit
+    fields) and built for each use past that.
     """
-    flags = ((slack - ones) & guards) ^ guards
-    return (flags.bit_length() // w or 1) - 1
+
+    def __init__(self, ranks: Sequence[RankFunction], starts: Sequence[tuple]) -> None:
+        """The words of count vectors ``starts``; ContractError for one outside."""
+        layouts: dict[int, tuple[int, int, int, list[int]]] = {}  # by field width
+        self._layouts, self._words, self.sat, self._room = [], [], [], 0
+        for f, x in zip(ranks, starts):
+            if (layout := layouts.get(f.width)) and not any(x):
+                word = f.packed | layout[2]  # every x(U) is 0
+            elif (start := _start(f, x)) is None:
+                raise ContractError(f"count vector {x} lies outside the polytope")
+            else:
+                word, *head = start
+                layout = layout or layouts.setdefault(f.width, (*head, [0] * f.m))
+            self._layouts.append(layout)
+            self._words.append(word)
+            self.sat.append(self.read(word, *layout[:3]))
+            self._room += len(f.values) << 3  # bytes the kept masks may still take
+
+    @staticmethod
+    def read(word: int, w: int, ones: int, guards: int) -> int:
+        """sat(x) off the slack word of an x inside the polytope.
+
+        One less clears the guard exactly where f(U) = x(U); for a
+        submodular f the tight sets are closed under union, so sat(x) is the
+        highest such field U, whose flag sets the bit length to (U + 1) * w,
+        and 0 if there is none (f(0) > 0).
+        """
+        flags = ((word - ones) & guards) ^ guards
+        return (flags.bit_length() // w or 1) - 1
+
+    def _mask(self, w: int, masks: list[int], r: int) -> int:
+        """The mask of r in w-bit fields, kept in ``masks`` while there is room."""
+        one, blank, run = (1).to_bytes(w >> 3, "little"), bytes(w >> 3), 1 << r
+        fields = (blank * run + one * run) * (1 << (len(masks) - 1 - r))
+        mask = int.from_bytes(fields, "little")
+        if len(fields) <= self._room:
+            masks[r], self._room = mask, self._room - len(fields)
+        return mask
+
+    def step(self, i: int, to_r: int, from_r: int | None = None) -> bool:
+        """One more unit of x_i on ``to_r`` and one less on ``from_r``, if given.
+
+        Returns False, and changes nothing, if x_i would leave its polytope.
+        """
+        w, ones, guards, masks = self._layouts[i]
+        word = self._words[i] - (masks[to_r] or self._mask(w, masks, to_r))
+        if from_r is not None:
+            word += masks[from_r] or self._mask(w, masks, from_r)
+        if word & guards != guards:
+            return False
+        flags = ((word - ones) & guards) ^ guards  # :meth:`read`, inline: the hot path
+        self._words[i], self.sat[i] = word, (flags.bit_length() // w or 1) - 1
+        return True
+
+    def sat_less(self, i: int, r: int) -> int:
+        """sat(x_i - e_r), for an x_i that holds a unit on r."""
+        w, ones, guards, masks = self._layouts[i]
+        word = self._words[i] + (masks[r] or self._mask(w, masks, r))
+        return self.read(word, w, ones, guards)
 
 
 def member_polytope(f: RankFunction, x: Sequence[int]) -> bool:
@@ -269,19 +341,22 @@ def member_polytope(f: RankFunction, x: Sequence[int]) -> bool:
     return True
 
 
-def _check_demand(f: RankFunction, d: int) -> None:
-    """Raise unless 0 <= d <= f(R), the range of demands f can carry."""
+def _check_demand(f: RankFunction, d: int) -> int:
+    """d as an int by the rule of :func:`_integers`; raise unless 0 <= d <= f(R)."""
+    if type(d) is not int:
+        (d,) = _integers((d,), "demands")
     if d < 0:
         raise MalformedInputError("demand must be nonnegative")
     if d > f.rank_of_all:
         raise InfeasibleTruncationError(
             f"demand {d} exceeds the rank {f.rank_of_all} of the full resource set"
         )
+    return d
 
 
 def member_base(f: RankFunction, d: int, x: Sequence[int]) -> bool:
     """True iff x lies in the polytope of f and its entries sum to exactly d."""
-    _check_demand(f, d)
+    d = _check_demand(f, d)
     vec = _checked_vector(x, f.m)
     return sum(vec) == d and tight_sets(f, vec).feasible
 
@@ -292,7 +367,7 @@ def enumerate_base(f: RankFunction, d: int) -> list[tuple[int, ...]]:
     The walk tries every split of d within the singleton capacities, so it
     is meant for desk scale: the debug checks and the tests.
     """
-    _check_demand(f, d)
+    d = _check_demand(f, d)
     m = f.m
     caps = [f.singleton(r) for r in range(m)]
     out: list[tuple[int, ...]] = []

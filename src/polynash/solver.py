@@ -22,7 +22,7 @@ from .bestresponse import is_best_response, repair_best_response
 from .errors import ContractError, CostTableRangeError, InvariantError
 from .errors import MalformedInputError
 from .game import GameInstance, Profile, _check_fit, induced_weights
-from .rank import _checked_vector, _index, _integers, _saturated, tight_sets
+from .rank import _SlackWords, _checked_vector, _index, _integers, tight_sets
 
 __all__ = [
     "SolverPolicy",
@@ -243,37 +243,26 @@ def _check_state(
         )
 
 
-# (player, resource, that player's cost values on it): the units one player
-# keeps on one resource, which share one marginal value
-_Group = tuple[int, int, tuple[int, ...]]
-
-
 class _SettleState:
     """One solve's position, plus what the solve has worked out about its players.
 
     The position is ``strategies`` (one count tuple per player), ``loads``
     (their sums), ``homes`` (the resource of each placed unit, per player,
     in placement order) and ``over``, the overloaded resource (None before
-    the first insertion). :meth:`insert` and :meth:`move` pick a unit step
-    and the groups it changes; :meth:`_step` alone changes the position,
-    and updates the kept values only where it changed:
+    the first insertion). :meth:`insert` and :meth:`move` pick a unit step;
+    :meth:`_step` alone changes the position, and updates the kept values
+    only where it changed:
 
     - ``top[i]`` and ``nxt[i]``, player i's prices of its top unit and of
       one more unit per resource: positions x_r and x_r + 1 of
       :func:`~polynash.game.induced_weights` at the load there (None where
       there is no such position);
     - the marginal values of the placed units (see :func:`marginal_vector`)
-      as one ascending list, which each step changes only in its groups;
-    - per player, a slack word laid out like the packed rank table, whose
-      w-bit field U holds 2^(w-1) + f(U) - x(U). A unit step subtracts the
-      mask of its new resource r (1 in each field whose subset holds r) and
-      adds that of its old one; a cleared guard bit means x left the
-      polytope. ``sat[i]`` is sat(x), read off the word after each step,
-      and sat(x - e_r) is the same read on the word plus the mask of r.
-
-    A mask depends only on m, w and r and is as large as one packed table;
-    masks are kept for reuse up to 8 bytes per rank-table entry of the game
-    (its tables' size in 64-bit fields), and built for each use past that.
+      as one ascending list, which each step changes only in the groups it
+      reprices;
+    - one slack word per player (see :class:`~polynash.rank._SlackWords`),
+      which each step moves by one unit and which refuses a step out of the
+      player's polytope; ``sat[i]`` is the player's sat(x).
     """
 
     def __init__(self, g: GameInstance) -> None:
@@ -291,20 +280,9 @@ class _SettleState:
             ]
             for r in range(g.m)
         ]
-        # each player's layout (w, ones, guards, masks), shared by the players
-        # whose tables have the same field width; masks[r] is 0 until kept
-        layouts: dict[int, tuple[int, int, int, list[int]]] = {}
-        for w in {f.width for f in g.ranks}:
-            ones = int.from_bytes((1).to_bytes(w >> 3, "little") * (1 << g.m), "little")
-            layouts[w] = (w, ones, ones << (w - 1), [0] * g.m)
-        self._layouts = [layouts[f.width] for f in g.ranks]
-        # at x = 0, field U holds 2^(w-1) + f(U); sat(0) need not be empty
-        self._slack = [f.packed | lay[2] for f, lay in zip(g.ranks, self._layouts)]
-        self.sat = [
-            _saturated(slack, ones, guards, w)
-            for slack, (w, ones, guards, _) in zip(self._slack, self._layouts)
-        ]
-        self._mask_room = g.n << g.m << 3  # bytes the kept masks may still take
+        # one slack word per player, at x = 0, where sat(0) need not be empty
+        self._words = _SlackWords(g.ranks, self.strategies)
+        self.sat = self._words.sat
         self.top: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
         self.nxt: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
         for r in range(g.m):
@@ -321,54 +299,34 @@ class _SettleState:
             top[i][r] = own * here - (own - 1) * c[load - 1] if own else None
             nxt[i][r] = (own + 1) * c[load + 1] - own * here if own < cap else None
 
-    def _mask(self, layout: tuple[int, int, int, list[int]], r: int) -> int:
-        """The mask of resource r in ``layout``, kept for reuse while there is room."""
-        w, _, _, masks = layout
-        mask = masks[r]
-        if not mask:
-            one, blank, run = (1).to_bytes(w >> 3, "little"), bytes(w >> 3), 1 << r
-            fields = (blank * run + one * run) * (1 << (self.g.m - 1 - r))
-            mask = int.from_bytes(fields, "little")
-            if len(fields) <= self._mask_room:
-                masks[r] = mask
-                self._mask_room -= len(fields)
-        return mask
-
-    def _sat_less(self, i: int, r: int) -> int:
-        """sat(x - e_r) of player i's current strategy x, which holds a unit on r."""
-        layout = w, ones, guards, _ = self._layouts[i]
-        return _saturated(self._slack[i] + self._mask(layout, r), ones, guards, w)
-
-    def _holders(self, r: int) -> list[_Group]:
-        """The nonempty groups on resource r, by player index."""
-        strategies = self.strategies
-        # only a player who can hold units on r is in its chain list
-        return [(i, r, c) for i, c, _ in self._chains[r] if strategies[i][r]]
-
-    def _step(self, i: int, from_r: int | None, to_r: int, groups: list[_Group]) -> int:
+    def _step(self, i: int, from_r: int | None, to_r: int) -> int:
         """Move player i's unit from ``from_r`` (None: a new unit) to ``to_r``.
 
-        ``to_r`` becomes ``over``; ``groups`` must hold every group whose
-        marginal value the step changes. Returns the unit's index. Raises
-        ContractError, before anything changes, if the step leaves player
-        i's polytope.
+        ``from_r``, if given, differs from ``to_r``, which becomes ``over``.
+        Returns the unit's index. Raises ContractError, before anything
+        changes, if the step leaves player i's polytope.
         """
         marginals, strategies, loads = self._marginals, self.strategies, self.loads
-        x, layout = list(strategies[i]), self._layouts[i]
-        w, ones, guards, masks = layout
+        over, costs, x = self.over, self.g.costs[i], list(strategies[i])
         x[to_r] += 1
-        slack = self._slack[i] - (masks[to_r] or self._mask(layout, to_r))
+        # the groups the step reprices: the mover's own on to_r and from_r,
+        # and for an insertion every group on the old over, which is priced
+        # one load higher once it is no longer over (the mover's on to_r once)
+        groups = [(i, to_r, costs[to_r].values)]
         if from_r is not None:
             x[from_r] -= 1
-            slack += masks[from_r] or self._mask(layout, from_r)
-        if slack & guards != guards:
+            groups.append((i, from_r, costs[from_r].values))
+        elif over is not None:
+            for j, c, _ in self._chains[over]:
+                if strategies[j][over] and (j != i or over != to_r):
+                    groups.append((j, over, c))
+        if not self._words.step(i, to_r, from_r):
             raise ContractError(f"count vector {tuple(x)} lies outside the polytope")
-        self._slack[i], self.sat[i] = slack, _saturated(slack, ones, guards, w)
         # a group's value is priced at load index L + [r != over]: take out
         # the changed groups' values before the step, put them back after it
         for j, r, c in groups:
             if own := strategies[j][r]:
-                k = loads[r] + (r != self.over)
+                k = loads[r] + (r != over)
                 at = bisect_left(marginals, own * c[k] - (own - 1) * c[k - 1])
                 del marginals[at : at + own]
         homes = self.homes[i]
@@ -397,18 +355,13 @@ class _SettleState:
 
     def insert(self, i: int) -> int:
         """Place player i's cheapest feasible extra unit; return its resource."""
-        x = self.strategies[i]
         r = _cheapest_addition(self.nxt[i], self.sat[i])
-        # the groups on the old overloaded resource and the inserter's on r
-        groups = [] if self.over is None else self._holders(self.over)
-        if self.over != r or not x[r]:
-            groups.append((i, r, self.g.costs[i][r].values))
-        self._step(i, None, r, groups)
+        self._step(i, None, r)
         return r
 
     def exchange(self, i: int) -> SwapStep | None:
         """Player i's best improving exchange against the others' loads, or None."""
-        x, sat_less = self.strategies[i], lambda r: self._sat_less(i, r)
+        x, sat_less = self.strategies[i], lambda r: self._words.sat_less(i, r)
         return _best_exchange(x, self.top[i], self.nxt[i], self.sat[i], sat_less)
 
     def first_move(self, over: int) -> tuple[int, SwapStep] | tuple[None, None]:
@@ -425,9 +378,7 @@ class _SettleState:
 
         Only player j's two groups change value. Returns the unit's index.
         """
-        costs = self.g.costs[j]
-        groups = [(j, r, costs[r].values) for r in dict.fromkeys((from_r, to_r))]
-        return self._step(j, from_r, to_r, groups)
+        return self._step(j, from_r, to_r)
 
 
 def _insertion_order(policy: SolverPolicy, demands: tuple[int, ...]) -> Iterator[int]:

@@ -20,12 +20,14 @@ from polynash import (
     ordered_greedy,
     repair_best_response,
 )
-from polynash import solver
+import polynash
+from polynash import bestresponse, rank, solver
 from polynash.generators import gen_random
 
 from helpers import (
     assert_index_rule,
     bounded_random_rank,
+    feasible_vectors,
     hamming,
     min_weight,
     random_admissible_rows,
@@ -286,9 +288,9 @@ def test_the_outside_the_polytope_message():
         local_improvement(F_AB, (0, 2), W_AB)
     assert str(err.value) == message
     settle = solver._SettleState(g)
-    settle._step(0, None, 1, [])
+    settle._step(0, None, 1)
     with pytest.raises(ContractError) as err:
-        settle._step(0, None, 1, [])  # the slack word's guard bit on {b} clears
+        settle._step(0, None, 1)  # the slack word's guard bit on {b} clears
     assert str(err.value) == message
     assert settle.strategies == [(0, 1)] and settle.loads == [0, 1]
 
@@ -324,3 +326,51 @@ def test_is_best_response_takes_player_indices_by_the_one_input_rule():
     g = gen_random(0, 2, 2, 2)
     profile, _ = solver.compute_pne(g)
     assert_index_rule(lambda i: is_best_response(g, profile, i), "player indices")
+
+
+def test_ordered_greedy_takes_its_demand_by_the_one_input_rule():
+    assert_index_rule(lambda d: ordered_greedy(F_AB, d, W_AB), "demands")
+
+
+def test_repair_takes_its_shifted_resource_by_the_one_input_rule():
+    # "0" used to raise TypeError; a resource out of range stays a broken contract
+    def repair(r):
+        return repair_best_response(F_AB, (1, 1), r, W_AB, W_AB)
+
+    assert_index_rule(repair, "resource indices")
+    with pytest.raises(ContractError, match="^shifted resource 2 out of range$"):
+        repair(2.0)
+
+
+def test_the_public_best_responses_run_no_tight_set_pass(monkeypatch):
+    # each reads sat(x) and every sat(x - e_r) it needs off one slack word
+    passes, reads = [], []
+    real_pass, real_read = rank.tight_sets, rank._SlackWords.sat_less
+
+    def tight_pass(f, x):
+        passes.append(x)
+        return real_pass(f, x)
+
+    def sat_less(self, i, r):
+        reads.append(r)
+        return real_read(self, i, r)
+
+    for module in (polynash, rank, bestresponse, solver):
+        if getattr(module, "tight_sets", None) is real_pass:
+            monkeypatch.setattr(module, "tight_sets", tight_pass)
+    monkeypatch.setattr(rank._SlackWords, "sat_less", sat_less)
+    rng = random.Random(24)
+    for _ in range(150):
+        f, d, _ = _random_ground(rng)
+        d = min(d, f.rank_of_all - 1)  # so that x can grow by one unit
+        w = WeightedGround(random_admissible_rows(rng, [f.singleton(r) for r in range(f.m)]))
+        ordered_greedy(f, d, w)
+        x = rng.choice(feasible_vectors(f.values, d))
+        local_improvement(f, x, w)
+        extend_best_response(f, w, x)
+    for seed in range(20):
+        g = gen_random(seed, 3, 3, 3)
+        profile, _ = solver.compute_pne(g)
+        for i in range(g.n):
+            is_best_response(g, profile, i)
+    assert passes == [] and reads

@@ -470,3 +470,55 @@ def test_private_cost_takes_player_indices_by_the_one_input_rule():
 def test_induced_weights_takes_player_indices_by_the_one_input_rule():
     g = gen_random(0, 2, 2, 2)
     assert_index_rule(lambda i: induced_weights(g, i, (0, 0)), "player indices")
+
+
+def test_chain_cap_takes_player_indices_by_the_one_input_rule():
+    # -1 used to answer the last player's cap, 5 to raise IndexError and "1"
+    # TypeError
+    g = gen_random(0, 2, 2, 2)
+    assert_index_rule(lambda i: g.chain_cap(i, 0), "player indices")
+    for i in (-1, 5, 2.0):
+        with pytest.raises(MalformedInputError, match=f"^player index {int(i)} out of range$"):
+            g.chain_cap(i, 0)
+
+
+def test_cost_tables_take_loads_by_the_one_input_rule():
+    c = CostTable((0, 2, 5))
+    assert_index_rule(c.__getitem__, "loads")
+    with pytest.raises(CostTableRangeError, match="^load 3 outside cost table of length 3$"):
+        c[3.0]
+
+
+def test_find_ssc_violation_takes_its_usage_cap_by_the_one_input_rule():
+    # (0, 0, 1, 1) passes at usage 1 and fails at usage 2
+    table = (0, 0, 1, 1)
+    assert find_ssc_violation(table, 1) is None
+    assert find_ssc_violation(table, 2.0) == find_ssc_violation(table, 2) is not None
+    assert_index_rule(lambda u: find_ssc_violation(table, u), "usage caps")
+    with pytest.raises(MalformedInputError, match="^usage caps must be integers, got '3'$"):
+        find_ssc_violation(table, "3")
+
+
+def test_weighted_ground_lengths_take_resource_indices_by_the_one_input_rule():
+    w = WeightedGround(((1,), (1, 2)))
+    assert_index_rule(w.length, "resource indices")
+    with pytest.raises(MalformedInputError, match="^resource index 2 out of range$"):
+        w.length(2)
+
+
+def test_subset_labels_take_subset_masks_by_the_one_input_rule():
+    g = gen_random(0, 2, 2, 2)
+    assert_index_rule(g.subset_label, "subset masks")
+    assert g.subset_label(3) == ",".join(g.resources)
+    for mask in (4, -1):
+        with pytest.raises(MalformedInputError, match=f"^subset mask {mask} out of range$"):
+            g.subset_label(mask)
+
+
+def test_profile_loads_take_the_resource_count_by_the_one_input_rule():
+    # "2" used to be refused as "profile is over 2 resources, expected 2"
+    with pytest.raises(MalformedInputError, match="^resource counts must be integers, got '2'$"):
+        Profile(((1, 0), (0, 1))).loads("2")
+    assert Profile(((1, 0), (0, 1))).loads(2.0) == (1, 1)
+    assert_index_rule(Profile(((1,), (2,))).loads, "resource counts")
+    assert_index_rule(Profile(()).loads, "resource counts")

@@ -223,3 +223,11 @@ def test_a_rank_function_takes_subset_masks_by_the_one_input_rule():
     assert_index_rule(f, "subset masks")
     with pytest.raises(MalformedInputError, match="^subset mask 4 out of range$"):
         f(4.0)
+
+
+def test_demands_follow_the_one_input_rule():
+    # each of these used to raise TypeError
+    f = RankFunction((0, 2, 1, 2))
+    assert_index_rule(lambda d: enumerate_base(f, d), "demands")
+    assert_index_rule(lambda d: member_base(f, d, (1, 0)), "demands")
+    assert enumerate_base(f, 1.0) == [(0, 1), (1, 0)]

@@ -675,8 +675,8 @@ def test_the_debug_solve_compares_each_kept_sat_with_a_tight_set_pass(monkeypatc
     # which no addition or exchange loop reads
     real = solver._SettleState._step
 
-    def crippled(self, i, from_r, to_r, groups):
-        unit = real(self, i, from_r, to_r, groups)
+    def crippled(self, i, from_r, to_r):
+        unit = real(self, i, from_r, to_r)
         self.sat[i] |= 1 << self.g.m
         return unit
 
