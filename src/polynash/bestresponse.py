@@ -10,7 +10,7 @@ The solver's settle state runs the same addition and exchange loops.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
 from .game import GameInstance, Profile, WeightedGround, _check_fit, induced_weights
@@ -156,25 +156,25 @@ def local_improvement(
     counts = _checked_vector(counts, f.m)
     words = _SlackWords((f,), (counts,))  # ContractError for counts outside
     _require_coverage(f, w, sum(counts))
-    sat, sat_less = words.sat[0], lambda r: words.sat_less(0, r)
-    return _best_exchange(counts, *_row_prices(w.weights, counts), sat, sat_less)
+    return _best_exchange(counts, *_row_prices(w.weights, counts), words, 0)
 
 
 def _best_exchange(
     counts: tuple[int, ...],
     top: Sequence[int | None],
     nxt: Sequence[int | None],
-    sat: int,
-    sat_less: Callable[[int], int],
+    words: _SlackWords,
+    i: int,
 ) -> SwapStep | None:
     """The exchange loop of :func:`local_improvement`, on two prices per chain.
 
     ``top[r]`` prices the highest position ``counts`` holds on r (None when
     it holds none), ``nxt[r]`` the next free one (None when the chain is
-    full). ``sat`` is sat(x) of x = ``counts`` inside the polytope; an
-    exchange onto s in sat(x) is decided by ``sat_less(r)``, sat(x - e_r),
-    asked once per r.
+    full). Word i of ``words`` holds x = ``counts`` inside the polytope;
+    an exchange onto s in sat(x) is decided by sat(x - e_r), read off the
+    word at most once per r.
     """
+    sat = words.sat[i]
     gain, best = 0, None  # the largest saving so far, and its (r, s)
     for r, w_out in enumerate(top):
         if w_out is None:
@@ -186,7 +186,7 @@ def _best_exchange(
                 continue
             if sat >> s & 1:
                 if less is None:
-                    less = sat_less(r)
+                    less = words.sat_less(i, r)
                 if less >> s & 1:
                     continue
             gain, best = w_out - w_s, (r, s)

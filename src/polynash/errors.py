@@ -1,5 +1,19 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "AdmissibilityError",
+    "ContractError",
+    "CostTableRangeError",
+    "EnumerationTooLargeError",
+    "GameError",
+    "GenerationError",
+    "InfeasibleTruncationError",
+    "InvariantError",
+    "MalformedInputError",
+    "ParseError",
+    "ValidationError",
+]
+
 
 class GameError(Exception):
     """Base class for every error raised by this package."""

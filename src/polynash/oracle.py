@@ -20,8 +20,6 @@ from .game import GameInstance, Profile
 from .rank import _index
 
 __all__ = [
-    "PROFILE_CAP",
-    "STRATEGY_CAP",
     "VerificationReport",
     "brute_force_best_response",
     "enumerate_strategies",

@@ -17,6 +17,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ContractError, InfeasibleTruncationError, MalformedInputError
 
+__all__ = [
+    "RankFunction",
+    "TightSets",
+    "enumerate_base",
+    "member_base",
+    "member_polytope",
+    "tight_sets",
+    "validate_rank",
+]
+
 MAX_RESOURCES = 20
 MAX_RANK_ENTRY = 2**63 - 1
 

@@ -361,8 +361,7 @@ class _SettleState:
 
     def exchange(self, i: int) -> SwapStep | None:
         """Player i's best improving exchange against the others' loads, or None."""
-        x, sat_less = self.strategies[i], lambda r: self._words.sat_less(i, r)
-        return _best_exchange(x, self.top[i], self.nxt[i], self.sat[i], sat_less)
+        return _best_exchange(self.strategies[i], self.top[i], self.nxt[i], self._words, i)
 
     def first_move(self, over: int) -> tuple[int, SwapStep] | tuple[None, None]:
         """The first holder of ``over`` by index with an improving exchange, and it."""
@@ -387,17 +386,12 @@ def _insertion_order(policy: SolverPolicy, demands: tuple[int, ...]) -> Iterator
         for i, d in enumerate(demands):
             yield from repeat(i, d)
         return
-    left, n = list(demands), len(demands)
     if policy.player_selection == "round_robin":
-        cursor = 0
-        for _ in range(sum(demands)):
-            # the first player from the cursor on, cyclically, with units left
-            i = next(k % n for k in range(cursor, cursor + n) if left[k % n])
-            left[i] -= 1
-            cursor = i + 1
-            yield i
+        # pass k gives one unit to each player, by index, whose demand exceeds k
+        for level in range(max(demands, default=0)):
+            yield from (i for i, d in enumerate(demands) if d > level)
         return
-    rng = random.Random(0 if policy.seed is None else policy.seed)
+    left, rng = list(demands), random.Random(0 if policy.seed is None else policy.seed)
     for _ in range(sum(demands)):
         i = rng.choice([k for k, d in enumerate(left) if d])
         left[i] -= 1

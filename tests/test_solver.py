@@ -234,6 +234,25 @@ def test_round_robin_deals_units_cyclically_skipping_finished_players():
     assert inserted == [0, 1, 2, 1, 2, 1]
 
 
+def test_round_robin_order_matches_the_cursor_rule():
+    def cursor_order(demands):
+        # the first player from the cursor on, cyclically, with units left;
+        # the cursor then moves past that player
+        left, n, cursor, order = list(demands), len(demands), 0, []
+        for _ in range(sum(demands)):
+            i = next(k % n for k in range(cursor, cursor + n) if left[k % n])
+            left[i] -= 1
+            cursor = i + 1
+            order.append(i)
+        return order
+
+    rng, policy = random.Random(0), SolverPolicy("round_robin")
+    for _ in range(20_000):
+        demands = tuple(rng.randint(0, 6) for _ in range(rng.randint(0, 7)))
+        order = list(solver._insertion_order(policy, demands))
+        assert order == cursor_order(demands), demands
+
+
 def test_policy_rejects_unknown_selection():
     with pytest.raises(MalformedInputError):
         SolverPolicy("fastest_first")
