@@ -20,7 +20,6 @@ from .rank import (
     _check_demand,
     _checked_vector,
     _integers,
-    enumerate_base,
     tight_sets,
 )
 
@@ -234,8 +233,6 @@ def repair_best_response(
     shifted_resource: int,
     w_old: WeightedGround,
     w_new: WeightedGround,
-    *,
-    verify_input_optimal: bool = False,
 ) -> tuple[tuple[int, ...], SwapStep | None]:
     """Restore a minimum-weight ideal after the weights of one chain rise.
 
@@ -246,19 +243,9 @@ def repair_best_response(
     optimal (returned unchanged) or the feasible exchange with the largest
     saving moves exactly one unit off the shifted chain and restores
     optimality, so the result is at count-vector Hamming distance 0 or 2.
-
-    ``verify_input_optimal`` re-checks the optimality precondition by
-    exhaustive enumeration; intended for debugging at desk scale.
     """
     counts = _checked_vector(counts, f.m)
     _check_shift_structure(shifted_resource, w_old, w_new)
-    if verify_input_optimal:
-        best = min(w_old.ideal_weight(x) for x in enumerate_base(f, sum(counts)))
-        if w_old.ideal_weight(counts) != best:
-            raise ContractError(
-                f"input ideal {counts} is not minimum-weight under the pre-shift "
-                f"weights (has {w_old.ideal_weight(counts)}, optimum is {best})"
-            )
     swap = local_improvement(f, counts, w_new)
     if swap is None:
         return counts, None

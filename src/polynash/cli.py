@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from pathlib import Path
 
 from .errors import ContractError, GameError, InvariantError, ParseError
@@ -347,15 +348,32 @@ def _cmd_bound(args) -> int:
 
 
 def _decimal(value: int) -> str:
-    """str(value) past the interpreter's digit limit (4300 by default), restored after."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    """Every decimal digit of a non-negative int, in subquadratic time.
+
+    ``str`` refuses ints past 4,300 digits by default, and before Python
+    3.12 it takes time quadratic in their length. Like CPython 3.12's
+    ``_pylong``, this splits the bits in halves down to 128 and joins the
+    halves in exact ``decimal`` arithmetic, whose products are subquadratic.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:  # 2**w, kept for reuse
+        if w not in powers:
+            half = w >> 1
+            powers[w] = Decimal(2) ** w if w <= 128 else power(half) * power(w - half)
+        return powers[w]
+
+    def join(v: int, w: int) -> Decimal:  # v < 2**w
+        if w <= 128:
+            return Decimal(v)
+        half = w >> 1
+        high = v >> half
+        return join(v - (high << half), half) + join(high, w - half) * power(half)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True
+        return str(join(value, value.bit_length()))
 
 
 def main(argv: list[str] | None = None) -> int:

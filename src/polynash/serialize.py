@@ -342,10 +342,12 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
 
 
 def check_trace(data: bytes | str) -> tuple[int, int]:
-    """Independent replay check of a trace document.
+    """Check the reported marginal vectors of a trace document decrease.
 
     Verifies that within each insertion the sorted marginal vector of every
     improvement move is strictly lexicographically below its predecessor's.
+    It reads the trace alone and trusts the vectors the solver reported: it
+    neither replays the moves nor recomputes a vector from an instance.
     Returns (insertions seen, improvement moves checked); raises
     InvariantError on the first violated decrease and ParseError on
     malformed input.

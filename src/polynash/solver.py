@@ -22,7 +22,8 @@ from .bestresponse import is_best_response, repair_best_response
 from .errors import ContractError, CostTableRangeError, InvariantError
 from .errors import MalformedInputError
 from .game import GameInstance, Profile, _check_fit, induced_weights
-from .rank import _SlackWords, _checked_vector, _index, _integers, tight_sets
+from .rank import _SlackWords, _checked_vector, _index, _integers
+from .rank import enumerate_base, tight_sets
 
 __all__ = [
     "SolverPolicy",
@@ -53,9 +54,9 @@ class SolverPolicy:
     ``debug_assertions`` adds the expensive checks, once per state: every
     player with a unit is tested from fresh weights by
     :func:`improving_players`, each improvable one required to hold a unit on
-    the overloaded resource; and the solve's mover search must pick
-    the first of them with the exchange :func:`repair_best_response` derives
-    for it, which confirms by enumeration that it was optimal one unit earlier.
+    the overloaded resource; the first of them must have been optimal one
+    unit earlier, by enumeration; and the solve's mover search must pick it
+    with the exchange :func:`repair_best_response` derives for it.
     """
 
     player_selection: str = "min_index"
@@ -165,31 +166,13 @@ def insertion_step_bound(g: GameInstance) -> int:
     return sum((g.m * d) ** d for d in g.demands)
 
 
-def improving_players(
-    g: GameInstance, p: Profile, overloaded: int | None = None
-) -> list[int]:
+def improving_players(g: GameInstance, p: Profile) -> list[int]:
     """Players whose strategy is not currently a best response, ascending index.
 
-    Every player with a unit is tested by :func:`is_best_response`. With
-    ``overloaded``, ``p`` must be a profile in which every player was a best
-    response before one more unit landed on ``overloaded``: the locality
-    lemma then says only players keeping a unit there can have become
-    improvable, and an improvable player without one raises InvariantError.
+    Every player with a unit is tested by :func:`is_best_response`.
     """
     _check_fit(g, p)
-    if overloaded is not None:
-        overloaded = _index(overloaded, g.m, "resource")
-    out = []
-    for i, x in enumerate(p.strategies):
-        if is_best_response(g, p, i):
-            continue
-        if overloaded is not None and x[overloaded] == 0:
-            raise InvariantError(
-                f"player {i} can improve without using the overloaded resource "
-                f"{overloaded}; strategies={p.strategies} loads={p.loads(g.m)}"
-            )
-        out.append(i)
-    return out
+    return [i for i in range(g.n) if not is_best_response(g, p, i)]
 
 
 def _check_state(
@@ -205,11 +188,13 @@ def _check_state(
     The kept marginal vector must equal :func:`marginal_vector` recomputed
     from the strategies, and each player's kept sat(x) must be the one a
     :func:`~polynash.rank.tight_sets` pass finds for x inside the polytope.
-    The search's reference is the first improvable player of the full
-    locality scan together with the exchange of its
-    :func:`repair_best_response`, fresh from the instance: the weights rose
-    only on ``over``, and the repair confirms by enumeration that the mover's
-    x was optimal before that.
+    Every player is then tested by :func:`improving_players`; by the
+    locality lemma each improvable one must hold a unit on ``over``, the
+    one resource whose load rose since every player was a best response.
+    The first of them must have been optimal one unit earlier, which
+    :func:`~polynash.rank.enumerate_base` confirms under its pre-shift
+    weights, and the search must find it with the exchange of its
+    :func:`repair_best_response`, fresh from the instance.
     """
     marginals = marginal_vector(g, p.strategies, over)
     if kept != marginals:
@@ -224,18 +209,28 @@ def _check_state(
                 f"player {i} keeps sat(x) {sat} at x={x}, a tight-set pass gives "
                 f"{tight.saturated if tight.feasible else 'x outside the polytope'}"
             )
-    reference = improving_players(g, p, over)
+    reference = improving_players(g, p)
+    for k in reference:
+        if p.strategies[k][over] == 0:
+            raise InvariantError(
+                f"player {k} can improve without using the overloaded resource "
+                f"{over}; strategies={p.strategies} loads={p.loads(g.m)}"
+            )
     expected: tuple[int | None, SwapStep | None] = (None, None)
     if reference:
         k = reference[0]
         x = p.strategies[k]
         a = tuple(map(sub, p.loads(g.m), x))
         pre_shift = induced_weights(g, k, a[:over] + (a[over] - 1,) + a[over + 1 :])
+        weight = pre_shift.ideal_weight(x)
+        best = min(map(pre_shift.ideal_weight, enumerate_base(g.ranks[k], sum(x))))
+        if weight != best:
+            raise InvariantError(
+                f"mover {k}'s strategy {x} was not minimum-weight before the unit "
+                f"on resource {over} (weight {weight}, optimum {best})"
+            )
         w = induced_weights(g, k, a)
-        _, swap = repair_best_response(
-            g.ranks[k], x, over, pre_shift, w, verify_input_optimal=True
-        )
-        expected = (k, swap)
+        expected = (k, repair_best_response(g.ranks[k], x, over, pre_shift, w)[1])
     if found != expected:
         raise InvariantError(
             f"settle search found (player, swap) {found}, the reference scan "
@@ -275,8 +270,8 @@ class _SettleState:
         self._chains = [
             [
                 (i, g.costs[i][r].values, cap)
-                for i in range(g.n)
-                if (cap := g.chain_cap(i, r))
+                for i, (f, d) in enumerate(zip(g.ranks, g.demands))
+                if (cap := min(f.values[1 << r], d))
             ]
             for r in range(g.m)
         ]

@@ -134,12 +134,6 @@ def test_repair_rejects_unrelated_weight_changes():
         repair_best_response(F_AB, (1, 1), 0, W_AB, overtaking)
 
 
-def test_repair_verifies_input_optimality_on_request():
-    w_new = WeightedGround(((5, 5), (2,)))
-    with pytest.raises(ContractError):
-        repair_best_response(F_AB, (2, 0), 0, W_AB, w_new, verify_input_optimal=True)
-
-
 def _random_ground(rng, full_rank_cap=6):
     f = bounded_random_rank(rng, rng.randint(1, 4), full_rank_cap=full_rank_cap)
     d = rng.randint(0, f.rank_of_all)

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import random
 import sys
 
 import pytest
@@ -471,6 +472,24 @@ def test_bound_prints_every_digit_of_a_huge_bound(tmp_path, capsys):
     assert value == 2**1301 * 2**1300 * 1300**1301
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
+
+
+def test_decimal_gives_the_digits_of_str_at_every_size():
+    # around the 128-bit leaves of the halving, and at about 10^5 digits
+    rng = random.Random(0)
+    values = [0, 1, 9, 10, 10**38, 10**39 - 1, 10**39]
+    for bits in (127, 128, 129, 255, 256, 257):
+        values += [2**bits - 1, 2**bits, 2**bits + 1, rng.getrandbits(bits)]
+    values += [10**100_000, 10**100_000 - 1, 7**118_000, rng.getrandbits(332_193)]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)  # str() is the reference at every size
+    try:
+        for value in values:
+            assert cli._decimal(value) == str(value), value.bit_length()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 # output of the matroid command below, recorded when it still built each table twice

@@ -166,7 +166,7 @@ def test_iteration_bound_examples():
 def test_improving_players_on_an_equilibrium_is_empty():
     g = shared_pool_instance()
     profile, _ = compute_pne(g)
-    assert improving_players(g, profile, None) == []
+    assert improving_players(g, profile) == []
 
 
 def test_improving_players_flags_the_disturbed_player():
@@ -175,7 +175,7 @@ def test_improving_players_flags_the_disturbed_player():
     linear = (0, 1, 2)
     g = GameInstance(("a", "b"), (1, 1), (f, f), ((flat, flat), (linear, linear)))
     stacked = Profile(((1, 0), (1, 0)))
-    assert improving_players(g, stacked, 0) == [1]
+    assert improving_players(g, stacked) == [1]
 
 
 def test_holder_only_mover_scan_gives_the_same_bytes_as_the_full_scan():
@@ -197,23 +197,27 @@ def test_holder_only_mover_scan_gives_the_same_bytes_as_the_full_scan():
     assert moves > 0
 
 
-def test_improving_players_asserts_the_locality_lemma():
+def test_the_debug_check_asserts_the_locality_lemma():
     f = RankFunction((0, 1, 1, 1))
-    flat = (1, 1, 1)
-    linear = (0, 1, 2)
+    flat = (1, 1, 1, 1)
+    linear = (0, 1, 2, 3)
     g = GameInstance(("a", "b"), (1, 1), (f, f), ((flat, flat), (linear, linear)))
     stacked = Profile(((1, 0), (1, 0)))
-    assert improving_players(g, stacked, 0) == [1]
-    assert improving_players(g, stacked, None) == [1]
+    sats = [rank.tight_sets(f, x).saturated for x in stacked.strategies]
+
+    def check(over, found):
+        kept = marginal_vector(g, stacked.strategies, over)
+        solver._check_state(g, stacked, over, kept, sats, found)
+
+    # with a overloaded, player 1 holds it and moves its unit to b
+    check(0, (1, SwapStep(remove=(0, 1), add=(1, 1), improvement=1)))
     # every player is tested: nobody holds b, yet player 1 could improve
     with pytest.raises(InvariantError) as err:
-        improving_players(g, stacked, 1)
+        check(1, (None, None))
     assert str(err.value) == (
         "player 1 can improve without using the overloaded resource 1; "
         "strategies=((1, 0), (1, 0)) loads=(2, 0)"
     )
-    with pytest.raises(MalformedInputError):
-        improving_players(g, stacked, 2)
 
 
 def test_round_robin_and_seeded_random_policies_also_settle():
@@ -393,7 +397,7 @@ def test_mover_search_tests_holders_in_index_order_and_stops_at_the_first(
 
 def test_debug_solve_scans_every_state_and_rederives_each_move(monkeypatch):
     calls = []
-    for name in ("improving_players", "repair_best_response"):
+    for name in ("improving_players", "enumerate_base", "repair_best_response"):
 
         def recording(*args, _real=getattr(solver, name), _name=name, **kwargs):
             calls.append((_name, kwargs))
@@ -401,17 +405,19 @@ def test_debug_solve_scans_every_state_and_rederives_each_move(monkeypatch):
 
         monkeypatch.setattr(solver, name, recording)
     scan = ("improving_players", {})
-    repair = ("repair_best_response", {"verify_input_optimal": True})
+    optimum = ("enumerate_base", {})
+    repair = ("repair_best_response", {})
     expected = []
     for seed in range(30):
         g = gen_random(seed, 3, 3, 3)
         _, trace = compute_pne(g, SolverPolicy(debug_assertions=True))
-        # a full scan at every state, one checked repair before each move
+        # a full scan at every state; before each move, the enumeration that
+        # confirms the mover was optimal one unit earlier, and its repair
         for e in trace.events:
             if e.kind == EVENT_GREEDY_EXTEND:
                 expected.append(scan)
             elif e.kind == EVENT_IMPROVEMENT_MOVE:
-                expected += [repair, scan]
+                expected += [optimum, repair, scan]
     assert calls == expected
     assert repair in calls
 
@@ -541,8 +547,12 @@ def test_a_move_names_the_first_placed_unit_on_the_resource_it_leaves():
 
 
 def _reference_move(g, p, over):
-    """First improvable player of the full locality scan, with its fresh exchange."""
-    reference = improving_players(g, p, over)
+    """First improvable player of the full scan, with its fresh exchange.
+
+    By the locality lemma every improvable player holds a unit on ``over``.
+    """
+    reference = improving_players(g, p)
+    assert all(p.strategies[k][over] for k in reference), (p, over)
     if not reference:
         return None, None
     k = reference[0]
@@ -672,6 +682,32 @@ def test_the_debug_solve_compares_the_settle_search_with_the_reference_scan(
         compute_pne(g, SolverPolicy(debug_assertions=True))
 
 
+def test_the_debug_solve_checks_the_mover_was_optimal_one_unit_earlier(monkeypatch):
+    # player 0 settles on b, where its price stays flat; player 1's cheapest
+    # unit is on a, but the crippled insertion puts it on b
+    f = RankFunction((0, 1, 1, 1))
+    g = GameInstance(
+        ("a", "b"), (1, 1), (f, f), (((0, 5, 5), (0, 1, 1)), ((0, 1, 2), (0, 3, 3)))
+    )
+    real = solver._SettleState.insert
+
+    def misplaced(self, i):
+        if i == 0:
+            return real(self, i)
+        self._step(i, None, 1)
+        return 1
+
+    monkeypatch.setattr(solver._SettleState, "insert", misplaced)
+    profile, _ = compute_pne(g)  # the move that follows hides the fault
+    assert profile.strategies == ((0, 1), (1, 0))
+    with pytest.raises(InvariantError) as err:
+        compute_pne(g, SolverPolicy(debug_assertions=True))
+    assert str(err.value) == (
+        "mover 1's strategy (0, 1) was not minimum-weight before the unit on "
+        "resource 1 (weight 3, optimum 1)"
+    )
+
+
 def test_the_debug_solve_compares_the_kept_marginals_with_the_recomputed_vector(
     monkeypatch,
 ):
@@ -720,12 +756,6 @@ def test_improving_players_refuses_a_profile_of_another_player_count():
         with pytest.raises(MalformedInputError) as err:
             improving_players(g, Profile(strategies))
         assert str(err.value) == f"profile has {len(strategies)} players, instance has 2"
-
-
-def test_improving_players_takes_resource_indices_by_the_one_input_rule():
-    g = gen_random(0, 2, 2, 2)
-    profile, _ = compute_pne(g)
-    assert_index_rule(lambda r: improving_players(g, profile, r), "resource indices")
 
 
 def test_marginal_vector_takes_resource_indices_by_the_one_input_rule():
