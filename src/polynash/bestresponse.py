@@ -192,7 +192,8 @@ def _best_exchange(
     if best is None:
         return None
     r, s = best
-    return SwapStep((r, counts[r]), (s, counts[s] + 1), gain)
+    # without the named tuple's Python-level __new__
+    return tuple.__new__(SwapStep, ((r, counts[r]), (s, counts[s] + 1), gain))
 
 
 def _check_shift_structure(

@@ -48,17 +48,36 @@ class CostTable:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = _integers(self.values, "cost table entries")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _integers(self.values, "cost table entries"))
+        self._check()
+
+    @classmethod
+    def _of_ints(cls, values: tuple[int, ...]) -> CostTable:
+        """``CostTable(values)`` for a tuple of ints only, with no conversion pass."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "values", values)
+        c._check()
+        return c
+
+    def _check(self) -> None:
+        """The checks of ``values``, then ``_convex``: first differences nondecreasing.
+
+        ``_convex`` is kept outside the dataclass fields, so equality, hash
+        and repr see only values.
+        """
+        values = self.values
         if not values:
             raise ValidationError("cost table must not be empty", witness=("empty",))
-        if min(values) < 0:
+        # nonnegative and nondecreasing together: c[0] >= 0 and every first
+        # difference d_k >= 0; one sort gives the least d_k and the convexity
+        d = list(map(sub, values[1:], values[:-1]))
+        ordered = sorted(d)
+        if values[0] < 0 or (d and ordered[0] < 0):
             for k, v in enumerate(values):
                 if v < 0:
                     raise ValidationError(
                         f"cost table entry {k} is negative ({v})", witness=("negative", k)
                     )
-        if any(map(gt, values, values[1:])):
             for k in range(len(values) - 1):
                 if values[k] > values[k + 1]:
                     raise ValidationError(
@@ -66,6 +85,7 @@ class CostTable:
                         f"({values[k]} > {values[k + 1]})",
                         witness=("decreasing", k),
                     )
+        object.__setattr__(self, "_convex", ordered == d)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -307,18 +327,17 @@ class GameInstance:
                     f"player {i} has {len(self.costs[i])} cost tables, expected {m}",
                     witness=("cost_shape", i),
                 )
-            for r in range(m):
-                table = self.costs[i][r]
-                if len(table) < total + 1:
+            for r, table in enumerate(self.costs[i]):
+                if len(table.values) <= total:
                     raise ValidationError(
                         f"player {i} cost table on {self.resources[r]!r} has length "
                         f"{len(table)}, need at least {total + 1} to cover the total "
                         f"demand",
                         witness=("cost_length", i, r),
                     )
-                u = f.singleton(r)
-                quad = find_ssc_violation(table, u)
-                if quad is not None:
+                # a convex table passes at every usage cap without the pass
+                u = f.values[1 << r]
+                if not table._convex and (quad := find_ssc_violation(table, u)):
                     a, b, x, y = quad
                     raise ValidationError(
                         f"player {i} cost table on {self.resources[r]!r} is not "

@@ -77,8 +77,20 @@ class RankFunction:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = _integers(self.values, "rank table entries")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _integers(self.values, "rank table entries"))
+        self._check()
+
+    @classmethod
+    def _of_ints(cls, values: tuple[int, ...]) -> RankFunction:
+        """``RankFunction(values)`` for a tuple of ints only, with no conversion pass."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "values", values)
+        f._check()
+        return f
+
+    def _check(self) -> None:
+        """The shape and range checks of ``values``, then ``m``, ``width`` and ``packed``."""
+        values = self.values
         size = len(values)
         if size == 0 or size & (size - 1):
             raise MalformedInputError(
@@ -88,6 +100,14 @@ class RankFunction:
             raise MalformedInputError(
                 f"rank table for more than {MAX_RESOURCES} resources is not supported"
             )
+        object.__setattr__(self, "m", (size - 1).bit_length())
+        # entries in 0..127 pack as one byte each, in one call: bytes() refuses
+        # any entry outside 0..255, and an ASCII string has no top bit set
+        with suppress(ValueError):
+            if (data := bytes(values)).isascii():
+                object.__setattr__(self, "width", 8)
+                object.__setattr__(self, "packed", int.from_bytes(data, "little"))
+                return
         if min(values) < 0:
             raise MalformedInputError("rank table entries must be nonnegative")
         top = max(values)
@@ -99,7 +119,6 @@ class RankFunction:
         fields = array(_TYPECODES[width], values)
         if sys.byteorder == "big":
             fields.byteswap()
-        object.__setattr__(self, "m", (size - 1).bit_length())
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "packed", int.from_bytes(fields, "little"))
 
@@ -375,22 +394,34 @@ def enumerate_base(f: RankFunction, d: int) -> list[tuple[int, ...]]:
     """All count vectors summing to d inside every capacity, ascending lexicographically.
 
     The walk tries every split of d within the singleton capacities, so it
-    is meant for desk scale: the debug checks and the tests.
+    is meant for desk scale: the debug checks and the tests. It steps one
+    slack word (see :class:`_SlackWords`) unit by unit along the walk and
+    puts it back on the way up, so every prefix is answered by one step; a
+    prefix outside the polytope ends its branch, as every extension of it
+    lies outside too.
     """
     d = _check_demand(f, d)
     m = f.m
     caps = [f.singleton(r) for r in range(m)]
+    words = _SlackWords((f,), ((0,) * m,))
     out: list[tuple[int, ...]] = []
 
     def walk(r: int, remaining: int, prefix: list[int]) -> None:
         if r == m:
-            if remaining == 0 and tight_sets(f, prefix).feasible:
+            if remaining == 0:
                 out.append(tuple(prefix))
             return
+        word = words._words[0]  # put back below; the walk reads no sat
+        prefix.append(0)
         for v in range(min(caps[r], remaining) + 1):
-            prefix.append(v)
-            walk(r + 1, remaining - v, prefix)
-            prefix.pop()
+            if v and not words.step(0, r):
+                break
+            # on the last resource only the rest of d completes a split
+            if r < m - 1 or v == remaining:
+                prefix[-1] = v
+                walk(r + 1, remaining - v, prefix)
+        prefix.pop()
+        words._words[0] = word
 
     walk(0, d, [])
     return out

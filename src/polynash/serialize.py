@@ -153,9 +153,9 @@ def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
 
 
 def _rank_table(values: tuple[int, ...], player: int) -> RankFunction:
-    """RankFunction(values), its entry-range errors naming the player."""
+    """RankFunction(values) for ints, its entry-range errors naming the player."""
     try:
-        return RankFunction(values)
+        return RankFunction._of_ints(values)
     except MalformedInputError as exc:
         raise MalformedInputError(f"player {player} {exc}") from None
 
@@ -206,7 +206,7 @@ def parse_instance(data: bytes | str) -> GameInstance:
             if not isinstance(values, list):
                 raise ParseError(f"player {i} cost table for {name!r} must be an array")
             entries = _int_tuple(values, "player {} cost entry on {!r}", i, name)
-            row.append(CostTable(entries))
+            row.append(CostTable._of_ints(entries))
         costs.append(tuple(row))
     return GameInstance(names, tuple(demands), tuple(ranks), tuple(costs))
 

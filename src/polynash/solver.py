@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import sub
 from typing import Iterator, NamedTuple, Sequence
@@ -191,7 +192,8 @@ def _check_state(
     Every player is then tested by :func:`improving_players`; by the
     locality lemma each improvable one must hold a unit on ``over``, the
     one resource whose load rose since every player was a best response.
-    The first of them must have been optimal one unit earlier, which
+    The extra unit on ``over`` must be an opponent's of the first of them,
+    which must have been optimal one unit earlier, as
     :func:`~polynash.rank.enumerate_base` confirms under its pre-shift
     weights, and the search must find it with the exchange of its
     :func:`repair_best_response`, fresh from the instance.
@@ -221,6 +223,11 @@ def _check_state(
         k = reference[0]
         x = p.strategies[k]
         a = tuple(map(sub, p.loads(g.m), x))
+        if a[over] == 0:
+            raise InvariantError(
+                f"the extra unit on resource {over} belongs to the improvable "
+                f"player {k} itself; strategies={list(p.strategies)}"
+            )
         pre_shift = induced_weights(g, k, a[:over] + (a[over] - 1,) + a[over + 1 :])
         weight = pre_shift.ideal_weight(x)
         best = min(map(pre_shift.ideal_weight, enumerate_base(g.ranks[k], sum(x))))
@@ -411,18 +418,20 @@ def compute_pne(
     step_cap = insertion_step_bound(g)
     settle = _SettleState(g)
     strategies = settle.strategies
+    # a TraceEvent of all nine fields, in order, without the named tuple's
+    # Python-level __new__
+    event = partial(tuple.__new__, TraceEvent)
 
     for outer, i in enumerate(_insertion_order(policy, g.demands), 1):
         settled = tuple(settle.loads)
         over = settle.insert(i)
         unit = len(settle.homes[i])
         snapshot = settle.marginals()
-        # events are built positionally, in TraceEvent's field order
-        events.append(TraceEvent(EVENT_DEMAND_INCREASE, outer, 0, i, unit))
         events.append(
-            TraceEvent(
-                EVENT_GREEDY_EXTEND, outer, 0, i, unit, None, over, over, snapshot
-            )
+            event((EVENT_DEMAND_INCREASE, outer, 0, i, unit, None, None, None, ()))
+        )
+        events.append(
+            event((EVENT_GREEDY_EXTEND, outer, 0, i, unit, None, over, over, snapshot))
         )
         inner = 0
         while True:
@@ -456,7 +465,7 @@ def compute_pne(
                 raise InvariantError(
                     f"total improvement moves exceeded the bound {total_cap}"
                 )
-            unit_idx = settle.move(j, from_r, to_r)
+            unit = settle.move(j, from_r, to_r) + 1
             loads = tuple(map(sum, zip(*strategies)))
             if loads != settled[:to_r] + (settled[to_r] + 1,) + settled[to_r + 1 :]:
                 raise InvariantError(
@@ -476,22 +485,10 @@ def compute_pne(
                     f"{snapshot} -> {nxt}"
                 )
             events.append(
-                TraceEvent(
-                    EVENT_IMPROVEMENT_MOVE,
-                    outer,
-                    inner,
-                    j,
-                    unit_idx + 1,
-                    from_r,
-                    to_r,
-                    over,
-                    nxt,
-                )
+                event((EVENT_IMPROVEMENT_MOVE, outer, inner, j, unit, from_r, to_r, over, nxt))
             )
             snapshot = nxt
         events.append(
-            TraceEvent(
-                EVENT_EQUILIBRIUM, outer, inner, None, None, None, None, over, snapshot
-            )
+            event((EVENT_EQUILIBRIUM, outer, inner, None, None, None, None, over, snapshot))
         )
     return Profile(tuple(strategies)), Trace(tuple(events))

@@ -708,6 +708,35 @@ def test_the_debug_solve_checks_the_mover_was_optimal_one_unit_earlier(monkeypat
     )
 
 
+def test_the_debug_solve_names_an_improvable_player_who_holds_the_extra_unit(
+    monkeypatch,
+):
+    # player 0's first unit belongs on a, where it costs 1; the crippled
+    # insertion puts it on b, where no opponent holds a unit
+    real = solver._SettleState.insert
+
+    def misplaced(self, i):
+        if i or self.homes[0]:
+            return real(self, i)
+        self._step(i, None, 1)
+        return 1
+
+    monkeypatch.setattr(solver._SettleState, "insert", misplaced)
+    g = _arrival_game()
+    with pytest.raises(InvariantError) as err:
+        compute_pne(g)
+    assert str(err.value) == (
+        "the extra unit on resource 1 belongs to the mover 0 itself; "
+        "strategies=[(0, 1), (0, 0)]"
+    )
+    with pytest.raises(InvariantError) as err:
+        compute_pne(g, SolverPolicy(debug_assertions=True))
+    assert str(err.value) == (
+        "the extra unit on resource 1 belongs to the improvable player 0 itself; "
+        "strategies=[(0, 1), (0, 0)]"
+    )
+
+
 def test_the_debug_solve_compares_the_kept_marginals_with_the_recomputed_vector(
     monkeypatch,
 ):
