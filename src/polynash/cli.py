@@ -15,17 +15,20 @@ from pathlib import Path
 
 from .errors import ContractError, GameError, InvariantError, ParseError
 from .generators import (
+    COST_FAMILIES,
     MatroidSpec,
-    _random_walk_table,
+    _random_costs,
     gen_matroid_game,
     gen_random,
     gen_singleton,
     matroid_total_demand,
-    random_convex_table,
 )
 from .oracle import verify_pne
 from .serialize import (
+    _int_field,
+    _int_tuple,
     _load_json,
+    _require,
     parse_instance,
     parse_profile,
     write_instance,
@@ -48,6 +51,14 @@ _POLICY_NAMES = {
     "min_index": "min_index",
     "round_robin": "round_robin",
     "random": "seeded_random",
+}
+
+# the cost families each kind of gen draws, its default first; matroid chains
+# hold one unit, so merely nondecreasing tables are load-sensitive there
+_KIND_FAMILIES = {
+    "random": COST_FAMILIES,
+    "singleton": ("convex_nondecreasing",),
+    "matroid": ("nondecreasing", "convex_nondecreasing"),
 }
 
 
@@ -93,20 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     gen = sub.add_parser("gen", help="generate an instance document")
-    gen.add_argument(
-        "--kind", choices=("singleton", "matroid", "random"), required=True
-    )
+    gen.add_argument("--kind", choices=tuple(_KIND_FAMILIES), required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", required=True)
     gen.add_argument("--players", type=int, help="player count (kind random)")
-    gen.add_argument("--resources", type=int, help="resource count (kind random)")
+    gen.add_argument(
+        "--resources", type=int, help="resource count (kinds random and matroid)"
+    )
     gen.add_argument("--max-demand", type=int, help="per-player demand cap (kind random)")
     gen.add_argument(
         "--cost-family",
-        choices=("convex_nondecreasing", "truncated_ssc", "nondecreasing"),
-        default=None,
-        help="table family; 'nondecreasing' is allowed for matroid games only, "
-        "and kind singleton takes only 'convex_nondecreasing'",
+        help="table family; each kind takes these, its default first: "
+        + "; ".join(f"{kind} {', '.join(fs)}" for kind, fs in _KIND_FAMILIES.items()),
     )
     gen.add_argument(
         "--resource-sets",
@@ -122,7 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
         '\'[{"kind":"uniform","rank":2},{"kind":"graphic","edges":[[0,1],[1,2],[2,0]]}]\'',
     )
     gen.add_argument(
-        "--resource-names", help="comma-separated names; defaults to r0,r1,..."
+        "--resource-names",
+        help="kinds singleton and matroid: comma-separated resource names in order "
+        "(default: singleton sorts the names in --resource-sets, matroid uses "
+        "r0,r1,...); kind random refuses it",
     )
     gen.set_defaults(func=_cmd_gen)
 
@@ -209,19 +221,21 @@ def _split_names(raw: str) -> list[str]:
 
 
 def _cmd_gen(args) -> int:
+    families = _KIND_FAMILIES[args.kind]
+    family = families[0] if args.cost_family is None else args.cost_family
+    if family not in families:
+        listed = " or ".join(map(repr, families))
+        raise _UsageError(f"kind {args.kind} draws {listed} tables only")
     rng = random.Random(args.seed)
     if args.kind == "random":
         if args.players is None or args.resources is None or args.max_demand is None:
             raise _UsageError("kind random needs --players, --resources, --max-demand")
-        family = args.cost_family or "convex_nondecreasing"
-        if family == "nondecreasing":
-            raise _UsageError("cost family 'nondecreasing' is for matroid games only")
+        if args.resource_names is not None:
+            raise _UsageError("kind random names its resources r0,r1,... itself")
         g = gen_random(args.seed, args.players, args.resources, args.max_demand, family)
     elif args.kind == "singleton":
         if args.resource_sets is None or args.demands is None:
             raise _UsageError("kind singleton needs --resource-sets and --demands")
-        if args.cost_family not in (None, "convex_nondecreasing"):
-            raise _UsageError("kind singleton draws 'convex_nondecreasing' tables only")
         try:
             demands = [int(part) for part in args.demands.split(",")]
         except ValueError:
@@ -241,22 +255,21 @@ def _cmd_gen(args) -> int:
                 if name not in index:
                     raise _UsageError(f"resource {name!r} missing from the name list")
         sets = [[index[name] for name in block] for block in set_names]
-        total = sum(demands)
-        costs = [
-            [random_convex_table(rng, total + 1).values for _ in names]
-            for _ in demands
-        ]
+        length = sum(demands) + 1
+        costs = _random_costs(rng, family, length, len(demands), len(names))
         g = gen_singleton(sets, demands, costs, resource_names=names)
     else:
         if args.matroids is None:
             raise _UsageError("kind matroid needs --matroids")
         try:
             raw_specs = _load_json(args.matroids)
+            _require(
+                isinstance(raw_specs, list) and bool(raw_specs),
+                "must be a non-empty JSON list",
+            )
+            specs = [_matroid_spec(entry) for entry in raw_specs]
         except ParseError as exc:
             raise _UsageError(f"--matroids: {exc}") from None
-        if not isinstance(raw_specs, list) or not raw_specs:
-            raise _UsageError("--matroids must be a non-empty JSON list")
-        specs = [_matroid_spec(entry) for entry in raw_specs]
         if args.resources is not None:
             m = args.resources
         elif args.resource_names:
@@ -269,22 +282,9 @@ def _cmd_gen(args) -> int:
                     "unless a graphic spec fixes the count"
                 )
             m = len(graphic[0].edges)
-        names = (
-            _split_names(args.resource_names)
-            if args.resource_names
-            else [f"r{k}" for k in range(m)]
-        )
-        family = args.cost_family or "nondecreasing"
-        total = matroid_total_demand(specs, m)
-        costs = []
-        for _ in specs:
-            row = []
-            for _ in range(m):
-                if family == "convex_nondecreasing":
-                    row.append(random_convex_table(rng, total + 1).values)
-                else:
-                    row.append(_random_walk_table(rng, total + 1).values)
-            costs.append(row)
+        names = _split_names(args.resource_names) if args.resource_names else None
+        length = matroid_total_demand(specs, m) + 1
+        costs = _random_costs(rng, family, length, len(specs), m)
         g = gen_matroid_game(specs, costs, resource_names=names)
     _write(args.output, write_instance(g))
     print(
@@ -294,42 +294,40 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or not all(_is_int(v) for v in value):
-        raise _UsageError(f"matroid spec field {what!r} must be a list of integers")
-    return value
-
-
-def _int_rows(value, what: str) -> list[list[int]]:
-    if not isinstance(value, list) or not all(
-        isinstance(row, list) and all(_is_int(v) for v in row) for row in value
-    ):
-        raise _UsageError(f"matroid spec field {what!r} must be a list of integer lists")
-    return value
+def _int_rows(value, what: str) -> list[tuple[int, ...]]:
+    _require(
+        isinstance(value, list) and all(isinstance(row, list) for row in value),
+        f"matroid spec field {what!r} must be a list of integer lists",
+    )
+    return [_int_tuple(row, f"matroid spec field {what!r} entry") for row in value]
 
 
 def _matroid_spec(entry) -> MatroidSpec:
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise _UsageError("each matroid spec must be an object with a 'kind'")
+    """One ``--matroids`` entry, its integers read by the document reader's rule."""
+    _require(
+        isinstance(entry, dict) and "kind" in entry,
+        "each matroid spec must be an object with a 'kind'",
+    )
     kind = entry["kind"]
     if kind == "uniform":
-        rank = entry.get("rank", 1)
-        if not _is_int(rank):
-            raise _UsageError(f"matroid spec field 'rank' must be an integer, got {rank!r}")
-        return MatroidSpec.uniform(rank)
+        return MatroidSpec.uniform(
+            _int_field(entry.get("rank", 1), "matroid spec field 'rank'")
+        )
     if kind == "partition":
-        blocks = _int_rows(entry.get("blocks", []), "blocks")
-        return MatroidSpec.partition(blocks, _int_list(entry.get("caps", []), "caps"))
+        caps = entry.get("caps", [])
+        _require(isinstance(caps, list), "matroid spec field 'caps' must be a list")
+        return MatroidSpec.partition(
+            _int_rows(entry.get("blocks", []), "blocks"),
+            _int_tuple(caps, "matroid spec field 'caps' entry"),
+        )
     if kind == "graphic":
         edges = _int_rows(entry.get("edges", []), "edges")
-        if any(len(edge) != 2 for edge in edges):
-            raise _UsageError("matroid spec field 'edges' must hold pairs of vertices")
+        _require(
+            all(len(edge) == 2 for edge in edges),
+            "matroid spec field 'edges' must hold pairs of vertices",
+        )
         return MatroidSpec.graphic(edges)
-    raise _UsageError(f"unknown matroid kind {kind!r}")
+    raise ParseError(f"unknown matroid kind {kind!r}")
 
 
 def _cmd_check(args) -> int:

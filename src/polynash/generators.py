@@ -161,7 +161,7 @@ def gen_singleton(
     Player i's rank table is d_i on every subset touching their set and 0
     elsewhere, so any split of d_i over the allowed resources is feasible.
     Demands and resource indices must be integers (1.0 and True are
-    converted, 1.9 and "1" refused).
+    converted, 1.9 and "1" refused), and demands nonnegative.
     """
     n = len(demands)
     if n == 0 or len(resource_sets) != n or len(costs) != n:
@@ -176,6 +176,8 @@ def gen_singleton(
     demands = _integers(demands, "demands")
     ranks = []
     for i in range(n):
+        if demands[i] < 0:  # before the demand fills a table
+            raise MalformedInputError(f"player {i} has negative demand {demands[i]}")
         allowed = 0
         for r in _integers(resource_sets[i], "resource indices"):
             if not 0 <= r < m:
@@ -324,6 +326,35 @@ def _random_ssc_table(
     )
 
 
+# each cost family's draw of one table from (rng, length, usage cap); only the
+# truncated_ssc draw reads the cap, the player's most units on the resource
+_FAMILY_DRAWS: dict[str, Callable[[random.Random, int, int | None], CostTable]] = {
+    "convex_nondecreasing": lambda rng, length, u: random_convex_table(rng, length),
+    "truncated_ssc": _random_ssc_table,
+    "nondecreasing": lambda rng, length, u: _random_walk_table(rng, length),
+}
+
+
+def _random_costs(
+    rng: random.Random,
+    family: str,
+    length: int,
+    n: int,
+    m: int,
+    caps: Sequence[Sequence[int]] | None = None,
+) -> tuple[tuple[CostTable, ...], ...]:
+    """n rows of m tables of one length from a cost family, drawn row by row.
+
+    ``caps[i][r]``, player i's usage cap on resource r, is read by the
+    truncated_ssc draw only, which needs it.
+    """
+    draw = _FAMILY_DRAWS[family]
+    return tuple(
+        tuple(draw(rng, length, caps[i][r] if caps else None) for r in range(m))
+        for i in range(n)
+    )
+
+
 def gen_random(
     seed: int,
     n: int,
@@ -354,18 +385,6 @@ def gen_random(
     rng = random.Random(seed)
     ranks = [random_rank(rng, m, max_chain=max_demand) for _ in range(n)]
     demands = [rng.randint(1, min(max_demand, f.rank_of_all)) for f in ranks]
-    total = sum(demands)
-    costs = []
-    for i in range(n):
-        row = []
-        for r in range(m):
-            if cost_family == "convex_nondecreasing":
-                row.append(random_convex_table(rng, total + 1))
-            else:
-                row.append(
-                    _random_ssc_table(rng, total + 1, ranks[i].singleton(r))
-                )
-        costs.append(tuple(row))
-    return GameInstance(
-        _resource_names(m, None), tuple(demands), tuple(ranks), tuple(costs)
-    )
+    caps = [[f.values[1 << r] for r in range(m)] for f in ranks]
+    costs = _random_costs(rng, cost_family, sum(demands) + 1, n, m, caps)
+    return GameInstance(_resource_names(m, None), tuple(demands), tuple(ranks), costs)

@@ -3,13 +3,11 @@
 Everything here re-derives feasibility and costs from first principles,
 sharing no logic with the greedy or solver code paths, so the two sides can
 check each other. Enumerations are capped and fail loudly rather than
-sample; the caps can be overridden through the POLYNASH_MAX_ENUM
-environment variable.
+sample.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from operator import le
@@ -29,20 +27,6 @@ __all__ = [
 
 STRATEGY_CAP = 10**6
 PROFILE_CAP = 10**7
-_ENV_CAP = "POLYNASH_MAX_ENUM"
-
-
-def _cap(default: int) -> int:
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return default
-    try:
-        cap = int(raw)
-        if cap >= 0:
-            return cap
-    except ValueError:
-        pass
-    raise MalformedInputError(f"{_ENV_CAP} must be a nonnegative integer, got {raw!r}")
 
 
 def _within_capacities(rank_values: tuple[int, ...], x: Sequence[int]) -> bool:
@@ -57,11 +41,10 @@ def _within_capacities(rank_values: tuple[int, ...], x: Sequence[int]) -> bool:
 def enumerate_strategies(g: GameInstance, i: int) -> list[tuple[int, ...]]:
     """Every feasible count vector for player i at their demand, ascending.
 
-    Raises EnumerationTooLargeError past ``STRATEGY_CAP`` or POLYNASH_MAX_ENUM.
+    Raises EnumerationTooLargeError past ``STRATEGY_CAP`` strategies.
     """
     i = _index(i, g.n, "player")
     d = g.demands[i]
-    limit = _cap(STRATEGY_CAP)
     values = g.ranks[i].values
     m = g.m
     out: list[tuple[int, ...]] = []
@@ -70,9 +53,9 @@ def enumerate_strategies(g: GameInstance, i: int) -> list[tuple[int, ...]]:
         if r == m:
             if left == 0 and _within_capacities(values, prefix):
                 out.append(tuple(prefix))
-                if len(out) > limit:
+                if len(out) > STRATEGY_CAP:
                     raise EnumerationTooLargeError(
-                        f"player {i} has more than {limit} strategies at demand {d}"
+                        f"player {i} has more than {STRATEGY_CAP} strategies at demand {d}"
                     )
             return
         top = min(values[1 << r], left)
@@ -158,10 +141,9 @@ def exhaustive_pne_search(g: GameInstance) -> list[Profile]:
     total = 1
     for options in per_player:
         total *= len(options)
-    limit = _cap(PROFILE_CAP)
-    if total > limit:
+    if total > PROFILE_CAP:
         raise EnumerationTooLargeError(
-            f"{total} joint profiles exceed the cap {limit}"
+            f"{total} joint profiles exceed the cap {PROFILE_CAP}"
         )
     found: list[Profile] = []
     for combo in product(*per_player):

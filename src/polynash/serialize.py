@@ -376,7 +376,7 @@ def check_trace(data: bytes | str) -> tuple[int, int]:
             isinstance(marginal, list),
             f"trace line {lineno} must carry a marginal vector",
         )
-        snapshot = tuple(_int_field(v, "marginal entry") for v in marginal)
+        snapshot = _int_tuple(marginal, "marginal entry")
         if kind == EVENT_GREEDY_EXTEND:
             insertions += 1
             current_outer = outer

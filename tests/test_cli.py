@@ -131,6 +131,14 @@ def test_usage_errors_exit_one(tmp_path):
             *("--kind", "random", "--players", "2", "--resources", "2"),
             *("--max-demand", "2", "--cost-family", "nondecreasing"),
         ],
+        [
+            *("--kind", "random", "--players", "2", "--resources", "2"),
+            *("--max-demand", "2", "--resource-names", "x,y"),
+        ],
+        [
+            *("--kind", "matroid", "--matroids", '[{"kind":"uniform","rank":1}]'),
+            *("--resources", "2", "--cost-family", "truncated_ssc"),
+        ],
         ["--kind", "singleton", "--resource-sets", "a;a,b"],
         ["--kind", "singleton", "--resource-sets", "a;a,b", "--demands", "1"],
         [
@@ -524,6 +532,48 @@ def test_gen_matroid_builds_each_rank_table_once(tmp_path, monkeypatch):
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert built == ["uniform", "partition", "graphic"] * 2
     assert digests == GEN_MATROID_DIGESTS
+
+
+# gen documents of the singleton kind and of each random family, recorded
+# when each kind still decided its own cost-table draws
+GEN_DIGESTS = [
+    (
+        [*("--kind", "random", "--players", "3", "--resources", "4"),
+         *("--max-demand", "3", "--seed", "9")],
+        "3bd13e4e195ccf5c214cd1e6f706430ac9d6679425693d1d3a0bdec68a5d67e6",
+    ),
+    (
+        [*("--kind", "random", "--players", "3", "--resources", "4"),
+         *("--max-demand", "3", "--seed", "9", "--cost-family", "convex_nondecreasing")],
+        "3bd13e4e195ccf5c214cd1e6f706430ac9d6679425693d1d3a0bdec68a5d67e6",
+    ),
+    (
+        [*("--kind", "random", "--players", "3", "--resources", "4"),
+         *("--max-demand", "3", "--seed", "9", "--cost-family", "truncated_ssc")],
+        "87fa278d134eded15e6779c198f6236687244d5017547737d9ede169706546e4",
+    ),
+    (
+        ["--kind", "singleton", "--resource-sets", "a;a,b;b,c", "--demands", "2,1,3",
+         "--seed", "3"],
+        "fd810c0352bfba4c4fca0f8942a4934b5c2473bf8351b2e0ff6d9f873efb6ef1",
+    ),
+    (
+        ["--kind", "singleton", "--resource-sets", "x;y,x", "--demands", "2,2",
+         "--resource-names", "y,x,z", "--seed", "5"],
+        "c67d142bab278ce170cb8469e1839ee69e32f1f748ac30e4b4587c35734be70e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    GEN_DIGESTS,
+    ids=["random", "random-convex", "random-ssc", "singleton", "singleton-names"],
+)
+def test_gen_writes_the_recorded_bytes(tmp_path, args, digest):
+    out = tmp_path / "g.json"
+    assert main(["gen", *args, "--output", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # GameError itself and every subclass the package defines

@@ -19,6 +19,7 @@ from polynash import (
     verify_pne,
     write_instance,
 )
+from polynash import generators
 from polynash.generators import (
     _random_ssc_table,
     matroid_total_demand,
@@ -50,6 +51,15 @@ def test_singleton_rank_tables():
     # allowed everywhere: free split across both resources
     g2 = gen_singleton([[0, 1]], [2], costs, resource_names=("a", "b"))
     assert set(enumerate_base(g2.ranks[0], 2)) == {(0, 2), (1, 1), (2, 0)}
+
+
+def test_a_negative_singleton_demand_is_named_before_any_table_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(generators, "RankFunction", lambda values: built.append(values))
+    costs = _convex_costs(random.Random(0), 2, 2, 1)
+    with pytest.raises(MalformedInputError, match="^player 0 has negative demand -1$"):
+        gen_singleton([[0], [1]], [-1, 2], costs, resource_names=("a", "b"))
+    assert built == []
 
 
 def test_singleton_strategies_never_leave_the_allowed_set():

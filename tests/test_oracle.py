@@ -19,6 +19,7 @@ from polynash import (
     private_cost,
     verify_pne,
 )
+from polynash import oracle
 from polynash.generators import gen_random, random_rank
 
 from helpers import SCALE_SHIFTS, assert_index_rule, feasible_vectors, fitting_shift, shared_pool_instance
@@ -86,24 +87,24 @@ def test_equilibria_exist_and_contain_the_solver_output():
         assert profile in found
 
 
-def test_profile_cap_env_override(monkeypatch):
+def test_profile_cap_is_read_at_call_time(monkeypatch):
     g = gen_random(2, 3, 3, 3)
-    monkeypatch.setenv("POLYNASH_MAX_ENUM", "1")
-    with pytest.raises(EnumerationTooLargeError):
+    monkeypatch.setattr(oracle, "PROFILE_CAP", 1)
+    with pytest.raises(EnumerationTooLargeError, match="exceed the cap 1$"):
         exhaustive_pne_search(g)
-    monkeypatch.delenv("POLYNASH_MAX_ENUM")
+    monkeypatch.undo()
     assert exhaustive_pne_search(g)
 
 
-def test_negative_enumeration_cap_is_rejected(monkeypatch):
+def test_zero_is_an_enumeration_cap(monkeypatch):
     g = gen_random(2, 3, 3, 3)
-    monkeypatch.setenv("POLYNASH_MAX_ENUM", "-5")
-    for enumerate_ in (exhaustive_pne_search, lambda g: enumerate_strategies(g, 0)):
-        with pytest.raises(MalformedInputError, match="POLYNASH_MAX_ENUM must be a non"):
-            enumerate_(g)
-    monkeypatch.setenv("POLYNASH_MAX_ENUM", "0")  # zero is a cap, not an error
-    with pytest.raises(EnumerationTooLargeError):
+    monkeypatch.setattr(oracle, "STRATEGY_CAP", 0)
+    with pytest.raises(EnumerationTooLargeError, match="more than 0 strategies"):
         enumerate_strategies(g, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "PROFILE_CAP", 0)
+    with pytest.raises(EnumerationTooLargeError, match="exceed the cap 0$"):
+        exhaustive_pne_search(g)
 
 
 def test_oracle_and_greedy_agree_against_random_opponents():

@@ -1,6 +1,7 @@
 """Documents: parsing with positions and witnesses, round trips, trace replay."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +352,17 @@ def test_trace_replay_rejects_a_tampered_decrease():
     assert bumped, "batch must contain at least one improvement move"
     with pytest.raises(InvariantError):
         check_trace("\n".join(tampered) + "\n")
+
+
+@pytest.mark.parametrize("entry", ["true", "1.0", '"1"'])
+def test_trace_replay_rejects_a_marginal_entry_that_is_not_an_integer(entry):
+    g = gen_random(20, 3, 2, 3)
+    _, trace = compute_pne(g)
+    text = write_trace(g, trace).decode()
+    # the entry replaces the first entry of the first nonempty marginal vector
+    text = re.sub(r'"marginal":\[\d+', f'"marginal":[{entry}', text, count=1)
+    with pytest.raises(ParseError, match="^marginal entry must be an integer$"):
+        check_trace(text)
 
 
 def test_trace_requires_a_header():

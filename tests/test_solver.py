@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynash import (
+    CostTable,
     CostTableRangeError,
     GameInstance,
     InvariantError,
@@ -572,6 +573,44 @@ def _free_split_game(seed, n, m):
         for _ in range(n)
     ]
     return gen_singleton(sets, demands, costs)
+
+
+def _scaled(g, scales):
+    """g with each player i's cost tables c replaced by a_i * c + b_i."""
+    costs = tuple(
+        tuple(CostTable(tuple(a * v + b for v in t.values)) for t in row)
+        for row, (a, b) in zip(g.costs, scales)
+    )
+    return GameInstance(g.resources, g.demands, g.ranks, costs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 4),
+    m=st.integers(2, 4),
+    max_demand=st.integers(1, 3),
+    family=st.sampled_from(("convex_nondecreasing", "truncated_ssc", "free_split")),
+    selection=st.sampled_from(("min_index", "round_robin", "seeded_random")),
+    debug=st.booleans(),
+    scales=st.lists(st.tuples(st.integers(1, 9), st.integers(0, 9)), min_size=4, max_size=4),
+)
+def test_scaling_and_shifting_a_players_costs_changes_only_the_marginal_vectors(
+    seed, n, m, max_demand, family, selection, debug, scales
+):
+    # player i's marginal bills scale by a_i and shift by b_i, so every
+    # choice that compares one player's prices is the same; the sorted
+    # marginal vector mixes the players' prices and is left out
+    if family == "free_split":
+        g = _free_split_game(seed, n, m)
+    else:
+        g = gen_random(seed, n, m, max_demand, family)
+    policy = SolverPolicy(selection, seed, debug)
+    profile, trace = compute_pne(g, policy)
+    scaled_profile, scaled_trace = compute_pne(_scaled(g, scales), policy)
+    assert scaled_profile == profile
+    unpriced = [e._replace(marginal_sorted=()) for e in trace.events]
+    assert [e._replace(marginal_sorted=()) for e in scaled_trace.events] == unpriced
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
