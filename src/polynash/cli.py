@@ -18,6 +18,7 @@ from .generators import (
     COST_FAMILIES,
     MatroidSpec,
     _random_costs,
+    _singleton_demands,
     gen_matroid_game,
     gen_random,
     gen_singleton,
@@ -59,6 +60,13 @@ _KIND_FAMILIES = {
     "random": COST_FAMILIES,
     "singleton": ("convex_nondecreasing",),
     "matroid": ("nondecreasing", "convex_nondecreasing"),
+}
+# the flags each kind of gen takes beside --kind, --seed, --output and
+# --cost-family, by argparse dest; a flag of another kind is a usage error
+_KIND_FLAGS = {
+    "random": ("players", "resources", "max_demand"),
+    "singleton": ("resource_sets", "demands", "resource_names"),
+    "matroid": ("matroids", "resources", "resource_names"),
 }
 
 
@@ -134,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--resource-names",
         help="kinds singleton and matroid: comma-separated resource names in order "
         "(default: singleton sorts the names in --resource-sets, matroid uses "
-        "r0,r1,...); kind random refuses it",
+        "r0,r1,...)",
     )
     gen.set_defaults(func=_cmd_gen)
 
@@ -221,6 +229,12 @@ def _split_names(raw: str) -> list[str]:
 
 
 def _cmd_gen(args) -> int:
+    taken = _KIND_FLAGS[args.kind]
+    for flags in _KIND_FLAGS.values():
+        for flag in flags:
+            if flag not in taken and getattr(args, flag) is not None:
+                option = "--" + flag.replace("_", "-")
+                raise _UsageError(f"kind {args.kind} takes no {option}")
     families = _KIND_FAMILIES[args.kind]
     family = families[0] if args.cost_family is None else args.cost_family
     if family not in families:
@@ -230,8 +244,6 @@ def _cmd_gen(args) -> int:
     if args.kind == "random":
         if args.players is None or args.resources is None or args.max_demand is None:
             raise _UsageError("kind random needs --players, --resources, --max-demand")
-        if args.resource_names is not None:
-            raise _UsageError("kind random names its resources r0,r1,... itself")
         g = gen_random(args.seed, args.players, args.resources, args.max_demand, family)
     elif args.kind == "singleton":
         if args.resource_sets is None or args.demands is None:
@@ -255,7 +267,7 @@ def _cmd_gen(args) -> int:
                 if name not in index:
                     raise _UsageError(f"resource {name!r} missing from the name list")
         sets = [[index[name] for name in block] for block in set_names]
-        length = sum(demands) + 1
+        length = sum(_singleton_demands(demands)) + 1
         costs = _random_costs(rng, family, length, len(demands), len(names))
         g = gen_singleton(sets, demands, costs, resource_names=names)
     else:
@@ -297,9 +309,10 @@ def _cmd_gen(args) -> int:
 def _int_rows(value, what: str) -> list[tuple[int, ...]]:
     _require(
         isinstance(value, list) and all(isinstance(row, list) for row in value),
-        f"matroid spec field {what!r} must be a list of integer lists",
+        "matroid spec field {!r} must be a list of integer lists",
+        what,
     )
-    return [_int_tuple(row, f"matroid spec field {what!r} entry") for row in value]
+    return [_int_tuple(row, "matroid spec field {!r} entry", what) for row in value]
 
 
 def _matroid_spec(entry) -> MatroidSpec:

@@ -235,6 +235,14 @@ class Profile:
             raise MalformedInputError("strategies must be nonnegative")
         object.__setattr__(self, "_loads", tuple(map(sum, zip(*strategies))))
 
+    @classmethod
+    def _of_counts(cls, strategies: tuple[tuple[int, ...], ...]) -> Profile:
+        """``Profile(strategies)`` for equal-length tuples of nonnegative ints, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "strategies", strategies)
+        object.__setattr__(p, "_loads", tuple(map(sum, zip(*strategies))))
+        return p
+
     def loads(self, m: int | None = None) -> tuple[int, ...]:
         if m is not None and type(m) is not int:
             (m,) = _integers((m,), "resource counts")
@@ -264,20 +272,25 @@ class GameInstance:
     costs: tuple[tuple[CostTable, ...], ...]
 
     def __post_init__(self) -> None:
-        resources = tuple(str(name) for name in self.resources)
-        demands = _integers(self.demands, "demands")
-        ranks = tuple(
-            f if isinstance(f, RankFunction) else RankFunction(tuple(f))
-            for f in self.ranks
-        )
-        costs = tuple(
-            tuple(t if isinstance(t, CostTable) else CostTable(tuple(t)) for t in row)
-            for row in self.costs
-        )
-        object.__setattr__(self, "resources", resources)
-        object.__setattr__(self, "demands", demands)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "costs", costs)
+        # a part that already has the checked types, as parse_instance hands
+        # it over, is kept as it is; any other is converted
+        if not _tuple_of(str, self.resources):
+            object.__setattr__(self, "resources", tuple(map(str, self.resources)))
+        if not _tuple_of(int, self.demands):
+            object.__setattr__(self, "demands", _integers(self.demands, "demands"))
+        if not _tuple_of(RankFunction, self.ranks):
+            ranks = tuple(
+                f if isinstance(f, RankFunction) else RankFunction(tuple(f))
+                for f in self.ranks
+            )
+            object.__setattr__(self, "ranks", ranks)
+        tables = chain.from_iterable(self.costs)
+        if not (_tuple_of(tuple, self.costs) and set(map(type, tables)) <= {CostTable}):
+            costs = tuple(
+                tuple(t if isinstance(t, CostTable) else CostTable(tuple(t)) for t in row)
+                for row in self.costs
+            )
+            object.__setattr__(self, "costs", costs)
         self._validate()
 
     def _validate(self) -> None:
@@ -395,6 +408,11 @@ class GameInstance:
                     f"demand {self.demands[i]}",
                     witness=("profile_member", i),
                 )
+
+
+def _tuple_of(cls: type, values) -> bool:
+    """True when ``values`` is a tuple whose items all have exactly the type ``cls``."""
+    return type(values) is tuple and set(map(type, values)) <= {cls}
 
 
 def _check_fit(

@@ -173,11 +173,9 @@ def gen_singleton(
             f"resource count must be at most {MAX_TABLE_RESOURCES}, got {m}"
         )
     names = _resource_names(m, resource_names)
-    demands = _integers(demands, "demands")
+    demands = _singleton_demands(demands)
     ranks = []
     for i in range(n):
-        if demands[i] < 0:  # before the demand fills a table
-            raise MalformedInputError(f"player {i} has negative demand {demands[i]}")
         allowed = 0
         for r in _integers(resource_sets[i], "resource indices"):
             if not 0 <= r < m:
@@ -190,6 +188,19 @@ def gen_singleton(
         )
         ranks.append(RankFunction(values))
     return GameInstance(names, demands, tuple(ranks), tuple(tuple(row) for row in costs))
+
+
+def _singleton_demands(demands: Sequence[int]) -> tuple[int, ...]:
+    """Demands as ints by the rule of :func:`~polynash.rank._integers`, each nonnegative.
+
+    Checked before a demand fills a table: a rank table, or a cost table as
+    long as the total demand.
+    """
+    demands = _integers(demands, "demands")
+    for i, d in enumerate(demands):
+        if d < 0:
+            raise MalformedInputError(f"player {i} has negative demand {d}")
+    return demands
 
 
 def gen_matroid_game(

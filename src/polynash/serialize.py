@@ -42,6 +42,8 @@ _EVENT_KINDS = (
     EVENT_IMPROVEMENT_MOVE,
     EVENT_EQUILIBRIUM,
 )
+# the encoded fragment of each event kind, for write_trace
+_ENCODED_KINDS = {kind: _encode(kind) for kind in _EVENT_KINDS}
 
 
 def _decode(data: bytes | str) -> str:
@@ -65,9 +67,17 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return members
 
 
+# one decoder for every document: json.loads with a hook builds a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # refused by json.loads, not by decode
+            raise json.JSONDecodeError(
+                "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+            )
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
@@ -78,62 +88,76 @@ def _load_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def _require(condition: bool, message: str) -> None:
+# Each check below takes its message as a format string and its arguments,
+# and formats the message only when the check fails.
+
+
+def _require(condition: bool, message: str, *args) -> None:
     if not condition:
-        raise ParseError(message)
+        raise ParseError(message.format(*args))
 
 
 def _check_version(doc: dict, what: str) -> None:
     version = doc.get("format_version")
-    _require(
-        isinstance(version, int)
-        and not isinstance(version, bool)
-        and version == FORMAT_VERSION,
-        f"{what} must carry format_version {FORMAT_VERSION}, got {version!r}",
-    )
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ParseError(
+            f"{what} must carry format_version {FORMAT_VERSION}, got {version!r}"
+        )
 
 
-def _int_field(value, what: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer")
-    return value
+def _int_field(value, what: str, *args) -> int:
+    """A JSON value that must be an integer (bool is a type of its own).
+
+    Errors name ``what.format(*args)``.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{what.format(*args)} must be an integer")
 
 
 def _int_tuple(values: list, what: str, *args) -> tuple[int, ...]:
-    """The entries of a JSON array that must all be integers (bool is a type of its own).
+    """The entries of a JSON array that must all be integers.
 
-    Errors name ``what.format(*args)``, which is formatted only on failure.
+    Errors name ``what.format(*args)``.
     """
     if set(map(type, values)) <= {int}:
         return tuple(values)
-    return tuple(_int_field(v, what.format(*args)) for v in values)
+    return tuple(_int_field(v, what, *args) for v in values)
 
 
 def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
     m = len(names)
     if isinstance(raw, list):
-        _require(
-            len(raw) == 1 << m,
-            f"player {player} dense rank table has length {len(raw)}, expected {1 << m}",
-        )
+        if len(raw) != 1 << m:
+            raise ParseError(
+                f"player {player} dense rank table has length {len(raw)}, "
+                f"expected {1 << m}"
+            )
         return _rank_table(_int_tuple(raw, "player {} rank entry", player), player)
-    _require(isinstance(raw, dict), f"player {player} rank must be an array or a map")
+    _require(isinstance(raw, dict), "player {} rank must be an array or a map", player)
     index = {name: r for r, name in enumerate(names)}
     table = [None] * (1 << m)
     table[0] = 0
     keys: dict[int, str] = {}  # the key that named each subset
     for key, value in raw.items():
-        _require(isinstance(key, str), f"player {player} rank keys must be strings")
+        _require(isinstance(key, str), "player {} rank keys must be strings", player)
         mask = 0
         if key:
             for part in key.split(","):
                 _require(
                     part in index,
-                    f"player {player} rank key {key!r} names unknown resource {part!r}",
+                    "player {} rank key {!r} names unknown resource {!r}",
+                    player,
+                    key,
+                    part,
                 )
                 bit = 1 << index[part]
                 _require(
                     not mask & bit,
-                    f"player {player} rank key {key!r} repeats resource {part!r}",
+                    "player {} rank key {!r} repeats resource {!r}",
+                    player,
+                    key,
+                    part,
                 )
                 mask |= bit
         if mask in keys:
@@ -142,7 +166,7 @@ def _parse_rank(raw, names: Sequence[str], player: int) -> RankFunction:
                 f"name the same subset"
             )
         keys[mask] = key
-        table[mask] = _int_field(value, f"player {player} rank value for {key!r}")
+        table[mask] = _int_field(value, "player {} rank value for {!r}", player, key)
     for mask in range(1, 1 << m):
         if table[mask] is None:
             label = ",".join(names[r] for r in range(m) if mask >> r & 1)
@@ -172,7 +196,7 @@ def parse_instance(data: bytes | str) -> GameInstance:
     _check_version(doc, "instance document")
     names_raw = doc.get("resources")
     _require(
-        isinstance(names_raw, list) and all(isinstance(s, str) for s in names_raw),
+        isinstance(names_raw, list) and set(map(type, names_raw)) <= {str},
         "resources must be a list of names",
     )
     names = tuple(names_raw)
@@ -180,7 +204,9 @@ def parse_instance(data: bytes | str) -> GameInstance:
     # checked before any rank table of 2**m entries is allocated
     _require(
         len(names) <= MAX_RESOURCES,
-        f"instance names {len(names)} resources, more than the cap of {MAX_RESOURCES}",
+        "instance names {} resources, more than the cap of {}",
+        len(names),
+        MAX_RESOURCES,
     )
     players = doc.get("players")
     _require(isinstance(players, list), "players must be a list")
@@ -189,12 +215,11 @@ def parse_instance(data: bytes | str) -> GameInstance:
     ranks: list[RankFunction] = []
     costs: list[tuple[CostTable, ...]] = []
     for i, entry in enumerate(players):
-        _require(isinstance(entry, dict), f"player {i} entry must be an object")
-        demands.append(_int_field(entry.get("demand"), f"player {i} demand"))
+        _require(isinstance(entry, dict), "player {} entry must be an object", i)
+        demands.append(_int_field(entry.get("demand"), "player {} demand", i))
         ranks.append(_parse_rank(entry.get("rank"), names, i))
         cost_map = entry.get("costs")
-        _require(isinstance(cost_map, dict), f"player {i} costs must be a map")
-        # checks run per cost table build their messages only when they fail
+        _require(isinstance(cost_map, dict), "player {} costs must be a map", i)
         if not cost_map.keys() <= known:
             unknown = sorted(set(cost_map) - known)
             raise ParseError(f"player {i} costs name unknown resources {unknown}")
@@ -233,10 +258,21 @@ def write_instance(g: GameInstance) -> bytes:
 def write_profile(g: GameInstance, p: Profile) -> bytes:
     """The bytes of ``json.dumps(doc, indent=2)``, built from names encoded once.
 
-    The profile must hold one strategy per player of ``g``.
+    The profile must hold one strategy per player of ``g``. Each bill is
+    :func:`~polynash.game.private_cost`'s, priced here from the loads read
+    once; a load past a cost table raises that function's CostTableRangeError.
     """
     _check_fit(g, p)
     loads = p.loads(g.m)
+    bills = []
+    for i, (x, row) in enumerate(zip(p.strategies, g.costs)):
+        try:
+            bills.append(
+                sum([c.values[load] * own for c, load, own in zip(row, loads, x) if own])
+            )
+        except IndexError:
+            private_cost(g, p, i)  # raises for the load past player i's table
+            raise
     keys = [f"{_encode(name)}: " for name in g.resources]
 
     def counts(values, indent: str) -> str:
@@ -247,8 +283,8 @@ def write_profile(g: GameInstance, p: Profile) -> bytes:
 
     players = ",\n".join(
         f'    {{\n      "strategy": {counts(p.strategies[i], "      ")},\n'
-        f'      "cost": {private_cost(g, p, i)}\n    }}'
-        for i in range(g.n)
+        f'      "cost": {bill}\n    }}'
+        for i, bill in enumerate(bills)
     )
     if players:
         players = f"[\n{players}\n  ]"
@@ -271,21 +307,22 @@ def parse_profile(data: bytes | str, g: GameInstance) -> Profile:
     _require(isinstance(players, list), "players must be a list")
     _require(
         len(players) == g.n,
-        f"profile has {len(players)} players, instance has {g.n}",
+        "profile has {} players, instance has {}",
+        len(players),
+        g.n,
     )
     index = {name: r for r, name in enumerate(g.resources)}
     strategies = []
     for i, entry in enumerate(players):
-        _require(isinstance(entry, dict), f"player {i} entry must be an object")
+        _require(isinstance(entry, dict), "player {} entry must be an object", i)
         strategy_map = entry.get("strategy")
-        _require(isinstance(strategy_map, dict), f"player {i} strategy must be a map")
+        _require(isinstance(strategy_map, dict), "player {} strategy must be a map", i)
         counts = [0] * g.m
         for name, value in strategy_map.items():
             _require(
-                name in index,
-                f"player {i} strategy names unknown resource {name!r}",
+                name in index, "player {} strategy names unknown resource {!r}", i, name
             )
-            counts[index[name]] = _int_field(value, f"player {i} count on {name!r}")
+            counts[index[name]] = _int_field(value, "player {} count on {!r}", i, name)
         strategies.append(tuple(counts))
     profile = Profile(tuple(strategies))
     g.check_profile(profile)
@@ -293,21 +330,20 @@ def parse_profile(data: bytes | str, g: GameInstance) -> Profile:
 
 
 def write_trace(g: GameInstance, trace: Trace) -> bytes:
-    header = {
-        "kind": "header",
-        "format_version": FORMAT_VERSION,
-        "resources": list(g.resources),
-        "players": g.n,
-    }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    # the encoded fragment of each event kind, player, unit (1..max(demands))
-    # and resource (None as null), refusing a value the game does not have;
-    # outer, inner and the marginal entries are written as is, so ints only
-    kinds = {kind: _encode(kind) for kind in _EVENT_KINDS}
+    encoded = list(map(_encode, g.resources))
+    # json.dumps of the header with separators (",", ":")
+    lines = [
+        f'{{"kind":"header","format_version":{FORMAT_VERSION},'
+        f'"resources":[{",".join(encoded)}],"players":{g.n}}}'
+    ]
+    # the encoded fragment of each player, unit (1..max(demands)) and
+    # resource (None as null), and of each event kind, refusing a value the
+    # game does not have; outer, inner and the marginal entries are written
+    # as is, so ints only
     players = {None: "null", **{i: str(i) for i in range(g.n)}}
     top = max(g.demands, default=0)
     units = {None: "null", **{k: str(k) for k in range(1, top + 1)}}
-    names = {None: "null", **dict(enumerate(map(_encode, g.resources)))}
+    names = {None: "null", **dict(enumerate(encoded))}
     marginal, joined, ints = (), "", {int}
 
     def refused(value: object, what: str) -> MalformedInputError:
@@ -330,7 +366,7 @@ def write_trace(g: GameInstance, trace: Trace) -> bytes:
                 marginal = marginal_sorted
                 joined = ",".join(map(str, marginal))
             lines.append(
-                f'{{"kind":{kinds[kind]},"outer":{outer},"inner":{inner},'
+                f'{{"kind":{_ENCODED_KINDS[kind]},"outer":{outer},"inner":{inner},'
                 f'"player":{players[player]},"unit":{units[unit]},'
                 f'"from":{names[source]},"to":{names[target]},'
                 f'"overloaded":{names[over]},"marginal":[{joined}]}}'
@@ -367,14 +403,13 @@ def check_trace(data: bytes | str) -> tuple[int, int]:
     previous: tuple[int, ...] | None = None
     for lineno, line in enumerate(lines[1:], start=2):
         record = _load_json(line)
-        _require(isinstance(record, dict), f"trace line {lineno} must be an object")
+        _require(isinstance(record, dict), "trace line {} must be an object", lineno)
         kind = record.get("kind")
-        _require(kind in _EVENT_KINDS, f"trace line {lineno} has unknown kind {kind!r}")
-        outer = _int_field(record.get("outer"), f"trace line {lineno} outer")
+        _require(kind in _EVENT_KINDS, "trace line {} has unknown kind {!r}", lineno, kind)
+        outer = _int_field(record.get("outer"), "trace line {} outer", lineno)
         marginal = record.get("marginal")
         _require(
-            isinstance(marginal, list),
-            f"trace line {lineno} must carry a marginal vector",
+            isinstance(marginal, list), "trace line {} must carry a marginal vector", lineno
         )
         snapshot = _int_tuple(marginal, "marginal entry")
         if kind == EVENT_GREEDY_EXTEND:
@@ -384,7 +419,8 @@ def check_trace(data: bytes | str) -> tuple[int, int]:
         elif kind == EVENT_IMPROVEMENT_MOVE:
             _require(
                 current_outer == outer and previous is not None,
-                f"trace line {lineno}: improvement move before its insertion",
+                "trace line {}: improvement move before its insertion",
+                lineno,
             )
             if not snapshot < previous:
                 raise InvariantError(

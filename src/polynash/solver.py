@@ -92,6 +92,11 @@ class TraceEvent(NamedTuple):
     marginal_sorted: tuple[int, ...] = ()
 
 
+# a TraceEvent of all nine fields, in order, without the named tuple's
+# Python-level __new__
+_event = partial(tuple.__new__, TraceEvent)
+
+
 @dataclass(frozen=True)
 class Trace:
     events: tuple[TraceEvent, ...]
@@ -285,10 +290,13 @@ class _SettleState:
         # one slack word per player, at x = 0, where sat(0) need not be empty
         self._words = _SlackWords(g.ranks, self.strategies)
         self.sat = self._words.sat
+        # at x = 0 no player has a top unit, and one more unit on r costs
+        # c(1) to each player who can hold units there
         self.top: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
         self.nxt: list[list[int | None]] = [[None] * g.m for _ in range(g.n)]
-        for r in range(g.m):
-            self._reprice(r)
+        for r, holders in enumerate(self._chains):
+            for i, c, _ in holders:
+                self.nxt[i][r] = c[1]
         self._marginals: list[int] = []  # ascending, one entry per placed unit
 
     def _reprice(self, r: int) -> None:
@@ -414,13 +422,10 @@ def compute_pne(
     policy = policy or SolverPolicy()
     events: list[TraceEvent] = []
     total_moves = 0
-    total_cap = iteration_bound(g)
-    step_cap = insertion_step_bound(g)
+    # the move bounds, worked out at the solve's first move
+    total_cap = step_cap = None
     settle = _SettleState(g)
     strategies = settle.strategies
-    # a TraceEvent of all nine fields, in order, without the named tuple's
-    # Python-level __new__
-    event = partial(tuple.__new__, TraceEvent)
 
     for outer, i in enumerate(_insertion_order(policy, g.demands), 1):
         settled = tuple(settle.loads)
@@ -428,10 +433,10 @@ def compute_pne(
         unit = len(settle.homes[i])
         snapshot = settle.marginals()
         events.append(
-            event((EVENT_DEMAND_INCREASE, outer, 0, i, unit, None, None, None, ()))
+            _event((EVENT_DEMAND_INCREASE, outer, 0, i, unit, None, None, None, ()))
         )
         events.append(
-            event((EVENT_GREEDY_EXTEND, outer, 0, i, unit, None, over, over, snapshot))
+            _event((EVENT_GREEDY_EXTEND, outer, 0, i, unit, None, over, over, snapshot))
         )
         inner = 0
         while True:
@@ -442,6 +447,8 @@ def compute_pne(
                 _check_state(g, p, over, snapshot, settle.sat, (j, swap))
             if swap is None:
                 break
+            if step_cap is None:
+                total_cap, step_cap = iteration_bound(g), insertion_step_bound(g)
             inner += 1
             total_moves += 1
             # the always-on move invariants
@@ -485,10 +492,10 @@ def compute_pne(
                     f"{snapshot} -> {nxt}"
                 )
             events.append(
-                event((EVENT_IMPROVEMENT_MOVE, outer, inner, j, unit, from_r, to_r, over, nxt))
+                _event((EVENT_IMPROVEMENT_MOVE, outer, inner, j, unit, from_r, to_r, over, nxt))
             )
             snapshot = nxt
         events.append(
-            event((EVENT_EQUILIBRIUM, outer, inner, None, None, None, None, over, snapshot))
+            _event((EVENT_EQUILIBRIUM, outer, inner, None, None, None, None, over, snapshot))
         )
-    return Profile(tuple(strategies)), Trace(tuple(events))
+    return Profile._of_counts(tuple(strategies)), Trace(tuple(events))

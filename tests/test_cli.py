@@ -178,6 +178,51 @@ def test_gen_rejects_malformed_fields_as_usage_errors(tmp_path, capsys, kind_arg
     assert not out.exists()
 
 
+RANDOM_ARGS = ("--kind", "random", "--players", "2", "--resources", "2", "--max-demand", "2")
+SINGLETON_ARGS = ("--kind", "singleton", "--resource-sets", "a;a,b", "--demands", "1,1")
+MATROID_ARGS = ("--kind", "matroid", "--resources", "2", "--matroids", '[{"kind":"uniform"}]')
+
+
+@pytest.mark.parametrize(
+    "kind_args, refused",
+    [
+        ([*MATROID_ARGS, "--players", "7", "--demands", "1,2"], "kind matroid takes no --players"),
+        ([*MATROID_ARGS, "--demands", "1,2"], "kind matroid takes no --demands"),
+        ([*MATROID_ARGS, "--max-demand", "2"], "kind matroid takes no --max-demand"),
+        ([*RANDOM_ARGS, "--matroids", "[1]"], "kind random takes no --matroids"),
+        ([*RANDOM_ARGS, "--resource-names", "x,y"], "kind random takes no --resource-names"),
+        ([*RANDOM_ARGS, "--resource-sets", "a"], "kind random takes no --resource-sets"),
+        ([*SINGLETON_ARGS, "--resources", "2"], "kind singleton takes no --resources"),
+        ([*SINGLETON_ARGS, "--players", "2"], "kind singleton takes no --players"),
+        ([*SINGLETON_ARGS, "--matroids", "[]"], "kind singleton takes no --matroids"),
+    ],
+)
+def test_gen_refuses_a_flag_of_another_kind(tmp_path, capsys, kind_args, refused):
+    # each such flag used to be dropped without a word
+    out = tmp_path / "g.json"
+    assert main(["gen", *kind_args, "--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {refused}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("demands", ["-3,1", "1,-3"])
+def test_gen_singleton_names_a_negative_demand_before_drawing_tables(
+    tmp_path, capsys, monkeypatch, demands
+):
+    # -3,1 used to draw tables of length sum(demands) + 1 = -1 first, and fail
+    # on the table length
+    drawn = []
+    monkeypatch.setattr(cli, "_random_costs", lambda *args: drawn.append(args))
+    out = tmp_path / "s.json"
+    args = ["gen", "--kind", "singleton", "--resource-sets", "a;b", f"--demands={demands}"]
+    assert main(args + ["--output", str(out)]) == EXIT_INVALID
+    player = demands.split(",").index("-3")
+    expected = f"invalid input: player {player} has negative demand -3\n"
+    assert capsys.readouterr().err == expected
+    assert drawn == []
+    assert not out.exists()
+
+
 def test_too_many_resources_is_invalid(tmp_path, capsys):
     names = [f"r{k}" for k in range(21)]
     doc = {

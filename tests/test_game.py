@@ -1,5 +1,6 @@
 """Cost tables, load-sensitivity checks, instances, and induced chain weights."""
 
+import operator
 import random
 
 import pytest
@@ -324,6 +325,26 @@ def test_game_instance_refuses_a_demand_that_int_would_change():
     with pytest.raises(MalformedInputError, match="demands must be integers, got None"):
         GameInstance(("a",), (None,), (f,), costs)
     assert GameInstance(("a",), (2.0,), (f,), costs).demands == (2,)
+
+
+def test_game_instance_keeps_parts_of_the_checked_types_and_converts_the_rest():
+    f, table = RankFunction((0, 3)), CostTable((0, 1, 2, 3))
+    parts = (("a",), (3,), (f,), ((table,),))
+    g = GameInstance(*parts)
+    assert all(map(operator.is_, (g.resources, g.demands, g.ranks, g.costs), parts))
+
+    class Name(str):
+        pass
+
+    converted = GameInstance([Name("a")], [3.0], [[0, 3]], [[(0, 1, 2, 3)]])
+    assert converted == g
+    assert type(converted.resources) is tuple and type(converted.resources[0]) is str
+    assert type(converted.demands) is tuple and type(converted.demands[0]) is int
+    assert type(converted.ranks) is tuple and type(converted.ranks[0]) is RankFunction
+    assert type(converted.costs) is tuple and type(converted.costs[0]) is tuple
+    assert type(converted.costs[0][0]) is CostTable
+    # a row of checked tables in a list is made a tuple, its tables kept
+    assert GameInstance(("a",), (3,), (f,), ([table],)).costs[0][0] is table
 
 
 ONE_RESOURCE = GameInstance(("a",), (3,), (RankFunction((0, 3)),), (((0, 1, 2, 3),),))

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polynash import (
+    CostTable,
+    CostTableRangeError,
     GameInstance,
     InvariantError,
     MalformedInputError,
@@ -21,6 +23,7 @@ from polynash import (
     gen_random,
     parse_instance,
     parse_profile,
+    private_cost,
     write_instance,
     write_profile,
     write_trace,
@@ -174,6 +177,27 @@ def test_deeply_nested_documents_are_parse_errors():
         check_trace("\n".join([lines[0], nested, *lines[1:]]) + "\n")
 
 
+@pytest.mark.parametrize("encoded", [True, False], ids=["bytes", "str"])
+@pytest.mark.parametrize("reader", ["instance", "profile", "trace"])
+def test_a_leading_byte_order_mark_is_a_parse_error_at_the_first_position(reader, encoded):
+    # json.loads refuses the mark, and so do the readers
+    g = parse_instance(_doc())
+    profile, trace = compute_pne(g)
+    read, text = {
+        "instance": (parse_instance, _doc().decode()),
+        "profile": (lambda data: parse_profile(data, g), write_profile(g, profile).decode()),
+        "trace": (check_trace, write_trace(g, trace).decode()),
+    }[reader]
+    read(text)
+    marked = "\ufeff" + text
+    with pytest.raises(ParseError) as err:
+        read(marked.encode() if encoded else marked)
+    assert str(err.value) == (
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)"
+    )
+    assert (err.value.line, err.value.column) == (1, 1)
+
+
 def test_parse_rejects_wrong_version():
     with pytest.raises(ParseError):
         parse_instance(_doc(format_version=2))
@@ -299,6 +323,22 @@ def test_the_profile_writer_refuses_a_profile_of_another_player_count():
             write_profile(g, Profile(strategies))
         message = f"profile has {len(strategies)} players, instance has 2"
         assert str(err.value) == message
+
+
+def test_the_profile_writer_raises_the_private_cost_error_for_loads_past_a_table():
+    # the loads of three units run past player 1's table of three entries, not
+    # past player 0's of five; a profile is written unchecked against the game
+    f = RankFunction((0, 3))
+    g = GameInstance(
+        ("a",), (1, 1), (f, f), ((CostTable((0, 1, 2, 3, 4)),), (CostTable((0, 1, 2)),))
+    )
+    p = Profile(((1,), (2,)))
+    assert private_cost(g, p, 0) == 3
+    with pytest.raises(CostTableRangeError) as expected:
+        private_cost(g, p, 1)
+    with pytest.raises(CostTableRangeError) as err:
+        write_profile(g, p)
+    assert str(err.value) == str(expected.value) == "load 3 outside cost table of length 3"
 
 
 def test_parse_profile_rejects_infeasible_strategies():

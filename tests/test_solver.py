@@ -815,6 +815,33 @@ def test_the_debug_solve_compares_each_kept_sat_with_a_tight_set_pass(monkeypatc
     )
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    max_demand=st.integers(1, 3),
+    family=st.sampled_from(("convex_nondecreasing", "truncated_ssc", "free_split")),
+    selection=st.sampled_from(("min_index", "round_robin", "seeded_random")),
+)
+def test_the_solved_profile_is_the_checked_profile_of_its_strategies(
+    seed, n, m, max_demand, family, selection
+):
+    # compute_pne builds its profile without the conversion pass of Profile()
+    if family == "free_split":
+        g = _free_split_game(seed, n, m)
+    else:
+        g = gen_random(seed, n, m, max_demand, family)
+    profile, _ = compute_pne(g, SolverPolicy(selection, seed))
+    checked = Profile(profile.strategies)
+    assert profile == checked and hash(profile) == hash(checked)
+    assert profile.loads() == checked.loads() == profile.loads(g.m)
+    assert profile.loads() == tuple(map(sum, zip(*profile.strategies)))
+    assert type(profile.strategies) is tuple
+    assert {type(x) for x in profile.strategies} == {tuple}
+    assert {type(c) for x in profile.strategies for c in x} == {int}
+
+
 def test_improving_players_refuses_a_profile_of_another_player_count():
     # three strategies used to raise IndexError, and one was answered with
     # [0], as if it were a game of one player
